@@ -24,7 +24,6 @@ from .measures import (
     expected_loss,
     generic_triple,
     loss,
-    mean_distribution,
     validate_simplex,
 )
 from .selective import (
@@ -71,7 +70,6 @@ __all__ = [
     "expected_loss",
     "generic_triple",
     "loss",
-    "mean_distribution",
     "validate_simplex",
     "AulcResult",
     "Ordering",

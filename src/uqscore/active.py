@@ -97,6 +97,9 @@ class LearnerConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
+        for value in (self.n_trees, self.depth_cap, self.min_leaf):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise BadConfig(f"n_trees, depth_cap and min_leaf must be integers, got {value!r}")
         if self.n_trees < 2:
             raise BadConfig("need at least two trees for nontrivial epistemic uncertainty")
         if self.depth_cap < 0:
@@ -298,29 +301,31 @@ def make_blobs(
     return TabularDataset(features, labels, k)
 
 
-#: Geometry of the epistemic-gap benchmark.  The two covered class
+#: Geometry of the epistemic-gap benchmark (the two blobs are shared with
+#: the OoD trend check in :mod:`uqscore.benchmarks`).  The two covered class
 #: clusters overlap mildly on the x axis, so bootstrap resamples place the
 #: learned boundary at noticeably different thresholds.  The gap cluster
 #: sits on that contested midline but far away in y, all labeled class 2:
 #: trees extrapolate their jittering boundaries into it and disagree on
 #: the argmax there until gap points get labeled, after which a single
 #: y split corrects the whole region.
-_GAP_CLASS_X = (0.0, 4.0)
+_BLOB_CLASS_X = (0.0, 4.0)
+_BLOB_SIGMA_Y = 1.0
 _GAP_SIGMA_X = 1.0
-_GAP_SIGMA_Y = 1.0
 _GAP_CENTER = (1.6, 8.0)  # biased toward class 1, so extrapolation misses it
 _GAP_SIGMA = 0.6
 _GAP_CLASS = 2
 
 
-def _gap_covered(rng: np.random.Generator, n_per_class: int) -> tuple[np.ndarray, np.ndarray]:
+def _two_blobs(rng: np.random.Generator, n_per_class: int, sigma_x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of the two class blobs; each class draws x, then y (seeds rely on it)."""
     xs = []
     ys = []
-    for cls, cx in enumerate(_GAP_CLASS_X, start=1):
+    for cls, cx in enumerate(_BLOB_CLASS_X, start=1):
         pts = np.column_stack(
             [
-                rng.normal(cx, _GAP_SIGMA_X, size=n_per_class),
-                rng.normal(0.0, _GAP_SIGMA_Y, size=n_per_class),
+                rng.normal(cx, sigma_x, size=n_per_class),
+                rng.normal(0.0, _BLOB_SIGMA_Y, size=n_per_class),
             ]
         )
         xs.append(pts)
@@ -357,7 +362,7 @@ def make_epistemic_gap(
     labels = []
     gap_counts = (0, n_gap_region, n_labeled_region)  # initial, pool, test
     for n_gap in gap_counts:
-        x_cov, y_cov = _gap_covered(rng, n_labeled_region)
+        x_cov, y_cov = _two_blobs(rng, n_labeled_region, _GAP_SIGMA_X)
         if n_gap:
             x_gap, y_gap = _gap_cluster(rng, n_gap)
             x_cov = np.concatenate([x_cov, x_gap])

@@ -18,6 +18,7 @@ from .active import (
     fit,
     make_epistemic_gap,
     predict_pool,
+    _two_blobs,
 )
 from .measures import ScoringRule
 from .ood import AurocResult, run_ood
@@ -37,26 +38,9 @@ OOD_LEARNER = LearnerConfig(n_trees=200, depth_cap=6, min_leaf=2, alpha=1.0)
 #: single acquired gap point from flipping the whole far region.
 GAP_LEARNER = LearnerConfig(n_trees=20, depth_cap=5, min_leaf=2, alpha=1.0)
 
-_OOD_CLASS_X = (0.0, 4.0)
 _OOD_SIGMA_X = 1.1  # mild class overlap along x
-_OOD_SIGMA_Y = 1.0
 _OOD_FAR_CENTER = (2.0, 8.0)  # 8 within-class sigmas above the data
 _OOD_FAR_SIGMA = 0.3  # narrow, concentrated over the contested midline
-
-
-def _ood_covered(rng: np.random.Generator, n_per_class: int) -> TabularDataset:
-    blocks = []
-    for cx in _OOD_CLASS_X:
-        blocks.append(
-            np.column_stack(
-                [
-                    rng.normal(cx, _OOD_SIGMA_X, size=n_per_class),
-                    rng.normal(0.0, _OOD_SIGMA_Y, size=n_per_class),
-                ]
-            )
-        )
-    labels = np.repeat([1, 2], n_per_class)
-    return TabularDataset(np.vstack(blocks), labels, 2)
 
 
 def ood_trend_run(
@@ -72,8 +56,8 @@ def ood_trend_run(
     standard deviations above the training data.
     """
     rng = np.random.default_rng(seed)
-    train = _ood_covered(rng, n_train)
-    id_eval = _ood_covered(rng, n_eval // 2)
+    train = TabularDataset(*_two_blobs(rng, n_train, _OOD_SIGMA_X), 2)
+    id_features, _ = _two_blobs(rng, n_eval // 2, _OOD_SIGMA_X)
     ood_eval = np.column_stack(
         [
             rng.normal(_OOD_FAR_CENTER[0], _OOD_FAR_SIGMA, size=n_eval),
@@ -81,7 +65,7 @@ def ood_trend_run(
         ]
     )
     learner = fit(OOD_LEARNER, train, seed=seed)
-    id_samples = predict_pool(learner, id_eval.features)
+    id_samples = predict_pool(learner, id_features)
     ood_samples = predict_pool(learner, ood_eval)
     return {
         rule: run_ood(id_samples, ood_samples, rule, component)
@@ -90,8 +74,8 @@ def ood_trend_run(
 
 
 def gap_problem(
-    n_labeled_region: int = 60,
-    n_gap_region: int = 6,
+    n_labeled_region: int,
+    n_gap_region: int,
     seed: int = 0,
 ) -> tuple[TabularDataset, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Epistemic-gap data plus its (initial, pool, test) split."""

@@ -5,7 +5,8 @@ Subcommands: ``decompose`` (per-record uncertainty triples), ``selective``
 ``active`` (synthetic acquisition traces), and ``verify`` (oracle suites).
 Flags may be supplied on the command line or in a JSON config file passed
 via ``--config``; config values override flags.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 invalid input.
+1 verification failure, 2 usage error, 3 invalid input (any bad input
+file or config value).
 
 All commands are deterministic functions of their inputs, flags, and
 seed; computation is sequential, so the ``UQSCORE_THREADS`` cap (if set)
@@ -18,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import active as al
+from .benchmarks import gap_problem
 from .errors import BadConfig, EmptyInput, UqscoreError
-from .measures import COMPONENTS, ScoringRule, decompose
+from .measures import COMPONENTS, ScoringRule, check_component, decompose
 from .ood import run_ood
 from .records import parse_predictions, require_labels, uniform_class_count
 from .selective import run_selective_prediction
@@ -81,7 +84,12 @@ class RunConfig:
     threads: int | None = None
 
 
-_CONFIG_KEYS = (set(RunConfig.__dataclass_fields__) - {"task", "rules", "threads"}) | {"rule"}
+#: The JSON type each config-file key must hold.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("input", "input_ood", "rule", "component", "task_rule", "direction", "out_dir", "suite"), str),
+    **dict.fromkeys(("seed", "rounds", "batch"), int),
+    "renormalize": bool, "dataset": dict, "learner": dict, "strategies": list,
+}
 
 
 def _parse_rule(name: str) -> ScoringRule:
@@ -97,13 +105,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadConfig(f"config file {args.config}: invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long integers, deep nesting
+            raise BadConfig(f"config file {args.config}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(overrides, dict):
             raise BadConfig("config file must hold a JSON object")
-        unknown = set(overrides) - _CONFIG_KEYS
+        unknown = set(overrides) - set(_CONFIG_TYPES)
         if unknown:
             raise BadConfig(f"config file has unknown keys {sorted(unknown)}")
+        for key, value in overrides.items():
+            if type(value) is not _CONFIG_TYPES[key]:  # not isinstance(): JSON true is no integer
+                raise BadConfig(f"config key {key!r} must hold a {_CONFIG_TYPES[key].__name__}, not {json.dumps(value)}")
+        if not all(type(s) is str for s in overrides.get("strategies", [])):
+            raise BadConfig("config key 'strategies' must be a list of strings")
         merged.update(overrides)
     return merged
 
@@ -122,9 +135,7 @@ def _build_run_config(args: argparse.Namespace, parser: argparse.ArgumentParser)
         else:
             rules = [_parse_rule(rule_name)]
 
-    task_rule = merged.get("task_rule")
-    if isinstance(task_rule, str):
-        task_rule = _parse_rule(task_rule)
+    task_rule = _parse_rule(merged["task_rule"]) if merged.get("task_rule") else None
 
     cfg = RunConfig(
         task=task,
@@ -157,10 +168,12 @@ def _build_run_config(args: argparse.Namespace, parser: argparse.ArgumentParser)
             parser.error("active needs a dataset section in --config")
         if not cfg.strategies:
             parser.error("active needs a strategies list in --config")
+    # flags are limited to valid choices, so a bad value here came from --config
     if cfg.direction not in ("ascending", "descending"):
-        parser.error(f"unknown direction {cfg.direction!r}")
-    if cfg.component not in COMPONENTS:
-        parser.error(f"unknown component {cfg.component!r}")
+        raise BadConfig(f"unknown direction {cfg.direction!r}")
+    check_component(cfg.component)
+    if cfg.seed is not None and cfg.seed < 0:
+        raise BadConfig("seed must be >= 0")
     return cfg
 
 
@@ -249,12 +262,9 @@ def _build_active_problem(cfg: RunConfig):
     kind = dataset.pop("kind", None)
     if kind == "epistemic_gap":
         try:
-            initial, pool, data = al.make_epistemic_gap(seed=cfg.seed, **dataset)
+            return gap_problem(seed=cfg.seed, **dataset)
         except TypeError as exc:
             raise BadConfig(f"bad dataset section: {exc}") from exc
-        used = np.concatenate([initial, pool])
-        test = np.setdiff1d(np.arange(data.n), used)
-        return data, (initial, pool, test)
     if kind == "blobs":
         n_initial = dataset.pop("n_initial", None)
         n_test = dataset.pop("n_test", None)
@@ -264,12 +274,12 @@ def _build_active_problem(cfg: RunConfig):
                 noise_seed=dataset.pop("noise_seed", cfg.seed + 1),
                 **dataset,
             )
-        except TypeError as exc:
+            n_initial = max(data.k, data.n // 10) if n_initial is None else operator.index(n_initial)
+            n_test = data.n // 4 if n_test is None else operator.index(n_test)
+        except BadConfig:
+            raise
+        except (TypeError, ValueError) as exc:  # wrong key, type, or seed
             raise BadConfig(f"bad dataset section: {exc}") from exc
-        if n_initial is None:
-            n_initial = max(data.k, data.n // 10)
-        if n_test is None:
-            n_test = data.n // 4
         if n_initial + n_test >= data.n:
             raise BadConfig("n_initial + n_test must leave room for a pool")
         order = np.random.default_rng([cfg.seed, 7]).permutation(data.n)
@@ -284,16 +294,13 @@ def cmd_active(cfg: RunConfig) -> int:
     data, split = _build_active_problem(cfg)
     try:
         learner_cfg = al.LearnerConfig(**cfg.learner)
-        rounds, batch = int(cfg.rounds), int(cfg.batch)
     except TypeError as exc:
         raise BadConfig(f"bad learner section: {exc}") from exc
-    except ValueError as exc:
-        raise BadConfig(f"rounds and batch must be integers: {exc}") from exc
     strategies = [al.AcquisitionStrategy.parse(s) for s in cfg.strategies]
     paths = []
     for strategy in strategies:
         trace = al.run_active_learning(
-            data, split, learner_cfg, strategy, rounds=rounds, batch=batch, seed=cfg.seed
+            data, split, learner_cfg, strategy, rounds=cfg.rounds, batch=cfg.batch, seed=cfg.seed
         )
         path = cfg.out_dir / f"active_trace_{strategy.label}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -375,10 +382,7 @@ def main(argv=None) -> int:
         cfg = _build_run_config(args, parser)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[cfg.task](cfg)
-    except UqscoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (UqscoreError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import rel_entr, xlogy
 
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     LabelOutOfRange,
     NegativeEntry,
@@ -43,7 +44,6 @@ __all__ = [
     "SecondOrderSample",
     "UncertaintyTriple",
     "validate_simplex",
-    "mean_distribution",
     "loss",
     "expected_loss",
     "entropy",
@@ -79,7 +79,7 @@ class ScoringRule(Enum):
 def check_component(component: str) -> str:
     """Validate an uncertainty component name, returning it unchanged."""
     if component not in COMPONENTS:
-        raise ValueError(f"unknown uncertainty component {component!r}; expected one of {COMPONENTS}")
+        raise BadConfig(f"unknown uncertainty component {component!r}; expected one of {COMPONENTS}")
     return component
 
 
@@ -130,6 +130,23 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
         raise NotNormalized(f"entries sum to {sums[bad][0]!r}, not 1")
 
 
+def _prepare_rows(rows: np.ndarray, renormalize: bool) -> np.ndarray:
+    """Reject non-finite (N, K) rows; with ``renormalize``, clamp negatives and divide each row by its sum.
+
+    The simplex check itself is left to the distribution or sample built from the result.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise SimplexError("probabilities must be finite")
+    if not renormalize:
+        return rows
+    rows = np.clip(rows, 0.0, None)
+    totals = rows.sum(axis=1)
+    empty = totals <= 0.0
+    if np.any(empty):
+        raise ZeroMass(f"entries sum to {totals[empty][0]!r}; cannot renormalize")
+    return rows / totals[:, None]
+
+
 def validate_simplex(raw: Sequence[float], renormalize: bool = False) -> CategoricalDistribution:
     """Build a :class:`CategoricalDistribution` from a raw vector.
 
@@ -148,15 +165,7 @@ def validate_simplex(raw: Sequence[float], renormalize: bool = False) -> Categor
     arr = np.asarray(raw, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise SimplexError("expected a non-empty probability vector")
-    if not np.all(np.isfinite(arr)):
-        raise SimplexError("probabilities must be finite")
-    if renormalize:
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if total <= 0.0:
-            raise ZeroMass(f"entries sum to {total!r}; cannot renormalize")
-        arr = arr / total
-    return CategoricalDistribution(arr)
+    return CategoricalDistribution(_prepare_rows(arr[None, :], renormalize)[0])
 
 
 class SecondOrderSample:
@@ -189,19 +198,6 @@ class SecondOrderSample:
         arr.setflags(write=False)
         self.matrix = arr
         self.mean = CategoricalDistribution(mean)
-
-    @classmethod
-    def from_members(cls, members: Sequence[CategoricalDistribution]) -> "SecondOrderSample":
-        if len(members) == 0:
-            raise SimplexError("a second-order sample needs at least one member")
-        ks = {m.k for m in members}
-        if len(ks) != 1:
-            raise DimensionMismatch(f"members disagree on class count: {sorted(ks)}")
-        return cls(np.stack([m.probs for m in members]))
-
-    @property
-    def members(self) -> tuple[CategoricalDistribution, ...]:
-        return tuple(CategoricalDistribution(row) for row in self.matrix)
 
     @property
     def m(self) -> int:
@@ -410,11 +406,6 @@ def divergence(
     if prediction.k != truth.k:
         raise DimensionMismatch(f"prediction has K={prediction.k}, truth has K={truth.k}")
     return float(_DIVERGENCE_KERNELS[rule](prediction.probs[None, :], truth.probs[None, :])[0])
-
-
-def mean_distribution(sample: SecondOrderSample) -> CategoricalDistribution:
-    """The component-wise arithmetic mean of the members (the model average)."""
-    return sample.mean
 
 
 def decompose(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:

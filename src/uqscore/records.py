@@ -7,6 +7,11 @@ between records; tasks that need a uniform class count check it
 themselves.  Serialization uses Python's shortest-round-trip float
 representation, so ``parse(write(records))`` reproduces finite values
 bit for bit.
+
+Each record is checked once: here its JSON shape and entry types (bools
+are not numbers), then one (M, K) array in :class:`SecondOrderSample`,
+then its label in :class:`PredictionRecord`.  Only a failed simplex check
+re-checks the rows one by one, to name the first bad row.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -23,7 +30,7 @@ from .errors import (
     SimplexError,
     SimplexViolation,
 )
-from .measures import SecondOrderSample, validate_simplex
+from .measures import SecondOrderSample, _prepare_rows, validate_simplex
 
 __all__ = ["PredictionRecord", "parse_predictions", "write_predictions"]
 
@@ -44,6 +51,17 @@ class PredictionRecord:
                 raise LabelOutOfRange(f"label {self.label} not in 1..{self.sample.k}")
 
 
+def _raise_first_row_fault(line_no: int, rows: list, renormalize: bool) -> None:
+    """Re-check ``rows`` one at a time and raise for the first that fails."""
+    for i, row in enumerate(rows, start=1):
+        try:
+            validate_simplex(row, renormalize=renormalize)
+        except SimplexError as exc:
+            raise SimplexViolation(line_no, i, str(exc)) from exc
+        except OverflowError:
+            raise Malformed(line_no, f"row {i} holds an integer too large for a float") from None
+
+
 def _parse_line(line_no: int, payload, renormalize: bool) -> PredictionRecord:
     if not isinstance(payload, dict):
         raise Malformed(line_no, "expected a JSON object")
@@ -59,22 +77,19 @@ def _parse_line(line_no: int, payload, renormalize: bool) -> PredictionRecord:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise Malformed(line_no, "samples rows have unequal lengths")
-    validated = []
     for i, row in enumerate(rows, start=1):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
+        if not set(map(type, row)) <= {int, float}:  # json.loads also yields bool, str, None, list, dict
+            _raise_first_row_fault(line_no, rows[: i - 1], renormalize)
             raise Malformed(line_no, f"row {i} contains non-numeric entries")
-        try:
-            validated.append(validate_simplex(row, renormalize=renormalize).probs)
-        except SimplexError as exc:
-            raise SimplexViolation(line_no, i, str(exc)) from exc
-    sample = SecondOrderSample(validated)
-    label = payload.get("label")
-    if label is not None:
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise Malformed(line_no, f"label {label!r} is not an integer")
-        if not 1 <= label <= sample.k:
-            raise Malformed(line_no, f"label {label} not in 1..{sample.k}")
-    return PredictionRecord(rid, sample, label)
+    try:
+        sample = SecondOrderSample(_prepare_rows(np.array(rows, dtype=np.float64), renormalize))
+    except (SimplexError, OverflowError):
+        _raise_first_row_fault(line_no, rows, renormalize)
+        raise
+    try:
+        return PredictionRecord(rid, sample, payload.get("label"))
+    except LabelOutOfRange as exc:
+        raise Malformed(line_no, str(exc)) from exc
 
 
 def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]:
@@ -90,8 +105,8 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise Malformed(line_no, f"invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+                raise Malformed(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             records.append(_parse_line(line_no, payload, renormalize))
     return records
 

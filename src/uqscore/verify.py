@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, ood, selective
+from .errors import BadConfig
 from .measures import ScoringRule, SecondOrderSample
 
 __all__ = ["SuiteResult", "ALL_SUITES", "run_suites", "random_belief"]
@@ -178,7 +179,7 @@ def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
     chosen = list(ALL_SUITES) if not names else names
     unknown = [n for n in chosen if n not in ALL_SUITES]
     if unknown:
-        raise ValueError(f"unknown suites {unknown}; available: {list(ALL_SUITES)}")
+        raise BadConfig(f"unknown suites {unknown}; available: {list(ALL_SUITES)}")
     results = []
     for name in chosen:
         try:

@@ -208,6 +208,51 @@ class TestActiveCommand:
         assert (out / "active_trace_log-epistemic.csv").exists()
 
 
+BAD_CONFIGS = [
+    ("decompose", {"input": 5}),
+    ("decompose", {"renormalize": 1}),
+    ("decompose", {"rule": "bogus"}),
+    ("selective", {"task_rule": 5}),
+    ("selective", {"task_rule": "bogus"}),
+    ("selective", {"direction": "sideways"}),
+    ("selective", {"component": "mutual"}),
+    ("verify", {"suite": "bogus"}),
+    ("verify", {"seed": True}),
+    ("active", {"dataset": "abc"}),
+    ("active", {"dataset": {"kind": "epistemic_gap", "n_labeled_region": 12}}),
+    ("active", {"dataset": {"kind": "moons"}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_initial": "x"}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": "x"}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers_seed": -1}}),
+    ("active", {"learner": [5]}),
+    ("active", {"learner": {"n_trees": 2.5}}),
+    ("active", {"learner": {"n_trees": 1}}),
+    ("active", {"strategies": "random"}),
+    ("active", {"strategies": [5]}),
+    ("active", {"strategies": ["log:bogus"]}),
+    ("active", {"strategies": ["bogus"]}),
+    ("active", {"rounds": True}),
+    ("active", {"rounds": 1.5}),
+    ("active", {"batch": "3"}),
+    ("active", {"seed": -1}),
+]
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("task, override", BAD_CONFIGS, ids=[json.dumps(o) for _, o in BAD_CONFIGS])
+    def test_exit_3_without_traceback(self, tmp_path, pred_file, capsys, task, override):
+        body = dict(ACTIVE_CONFIG) if task == "active" else {}
+        body.update(override)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        argv = [task, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        if task in ("decompose", "selective"):
+            argv += ["--input", str(pred_file)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -267,6 +312,13 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as err:
             main(["selective", "--input", str(pred_file), "--rule", "all", "--out-dir", str(tmp_path)])
         assert err.value.code == 2
+
+    def test_undecodable_files_exit_3(self, tmp_path, pred_file, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\n\xff\xfe\n')
+        assert main(["decompose", "--input", str(bad), "--out-dir", str(tmp_path)]) == 3
+        assert main(["decompose", "--input", str(pred_file), "--config", str(bad), "--out-dir", str(tmp_path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_threads_env_validated(self, tmp_path, pred_file, monkeypatch):
         monkeypatch.setenv("UQSCORE_THREADS", "potato")

@@ -24,7 +24,6 @@ from uqscore.measures import (
     expected_loss,
     generic_triple,
     loss,
-    mean_distribution,
     validate_simplex,
 )
 
@@ -81,6 +80,9 @@ class TestValidateSimplex:
             validate_simplex([np.nan, 1.0])
         with pytest.raises(SimplexError):
             validate_simplex([np.inf, 0.0])
+        for raw in ([np.nan, 1.0], [-np.inf, 1.0], [np.inf, 1.0]):
+            with pytest.raises(SimplexError, match="finite"):
+                validate_simplex(raw, renormalize=True)
 
     def test_tiny_negative_noise_clamped(self):
         dist = validate_simplex([1.0 + 5e-13, -5e-13])
@@ -95,7 +97,7 @@ class TestValidateSimplex:
 class TestSecondOrderSample:
     def test_mean_symmetry(self):
         s = SecondOrderSample([[1.0, 0.0], [0.0, 1.0]])
-        assert mean_distribution(s).probs.tolist() == [0.5, 0.5]
+        assert s.mean.probs.tolist() == [0.5, 0.5]
 
     def test_mean_hand_average(self):
         s = SecondOrderSample([[0.9, 0.1], [0.5, 0.5]])
@@ -103,13 +105,7 @@ class TestSecondOrderSample:
 
     def test_single_member_identity(self):
         s = SecondOrderSample([[0.3, 0.7]])
-        assert mean_distribution(s).probs.tolist() == [0.3, 0.7]
-
-    def test_members_share_k(self):
-        with pytest.raises(DimensionMismatch):
-            SecondOrderSample.from_members(
-                [validate_simplex([0.5, 0.5]), validate_simplex([0.2, 0.3, 0.5])]
-            )
+        assert s.mean.probs.tolist() == [0.3, 0.7]
 
     def test_empty_rejected(self):
         with pytest.raises(SimplexError):
@@ -342,7 +338,8 @@ class TestLossTable:
             sample = SecondOrderSample(matrix)
             for rule in RULES:
                 table = _loss_table(rule, sample.matrix)
-                for i, member in enumerate(sample.members):
+                for i, row in enumerate(sample.matrix):
+                    member = CategoricalDistribution(row)
                     for y in range(1, k + 1):
                         assert table[i, y - 1] == pytest.approx(
                             loss(rule, member, y), abs=1e-12
