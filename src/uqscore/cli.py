@@ -280,6 +280,9 @@ def _build_active_problem(cfg: RunConfig):
             raise
         except (TypeError, ValueError) as exc:  # wrong key, type, or seed
             raise BadConfig(f"bad dataset section: {exc}") from exc
+        for key, size in (("n_initial", n_initial), ("n_test", n_test)):
+            if size < 0:
+                raise BadConfig(f"dataset key {key!r} must be >= 0, got {size}")
         if n_initial + n_test >= data.n:
             raise BadConfig("n_initial + n_test must leave room for a pool")
         order = np.random.default_rng([cfg.seed, 7]).permutation(data.n)
@@ -382,7 +385,7 @@ def main(argv=None) -> int:
         cfg = _build_run_config(args, parser)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[cfg.task](cfg)
-    except (UqscoreError, OSError, UnicodeDecodeError) as exc:
+    except (UqscoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,10 @@
 Out-of-distribution instances are the positive class: the AUROC is the
 probability that a randomly chosen OoD uncertainty score exceeds a
 randomly chosen in-distribution one, with ties credited one half.  The
-fast path ranks the pooled scores once (average ranks on ties); the
-quadratic pairwise count is kept as an oracle.
+fast path ranks the pooled scores once in numpy (average ranks on ties,
+equal to ``scipy.stats.rankdata(method="average")`` bit for bit, without
+importing ``scipy.stats``); the quadratic pairwise count is kept as an
+oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DimensionMismatch, EmptySide, NonFiniteScore
 from .measures import ScoringRule, SecondOrderSample, check_component, decompose
@@ -50,12 +51,24 @@ class AurocResult:
     criterion: str = "external"
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; each group of equal values shares its mean rank."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    # positions start..end-1 hold ranks start+1..end; their mean is a half-integer
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(split: ScoreSplit, criterion: str = "external") -> AurocResult:
     """Mann-Whitney AUROC of the split, OoD scores as positives."""
     n_id = split.id_scores.shape[0]
     n_ood = split.ood_scores.shape[0]
     pooled = np.concatenate([split.ood_scores, split.id_scores])
-    ranks = rankdata(pooled, method="average")
+    ranks = _average_ranks(pooled)
     # Tie-credited win count; a multiple of 0.5, exactly representable.
     u = float(ranks[:n_ood].sum()) - n_ood * (n_ood + 1) / 2.0
     d = float(n_id * n_ood)

@@ -83,9 +83,10 @@ def _parse_line(line_no: int, payload, renormalize: bool) -> PredictionRecord:
             raise Malformed(line_no, f"row {i} contains non-numeric entries")
     try:
         sample = SecondOrderSample(_prepare_rows(np.array(rows, dtype=np.float64), renormalize))
-    except (SimplexError, OverflowError):
+    except (SimplexError, OverflowError) as exc:
         _raise_first_row_fault(line_no, rows, renormalize)
-        raise
+        # every row passes alone, so the check that failed was the one on the mean
+        raise Malformed(line_no, f"the members' mean is off the simplex: {exc}") from exc
     try:
         return PredictionRecord(rid, sample, payload.get("label"))
     except LabelOutOfRange as exc:
@@ -96,13 +97,20 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
     """Read a prediction file, preserving record order.
 
     Raises :class:`Malformed` or :class:`SimplexViolation` with 1-based
-    line (and row) positions; blank lines are skipped.
+    line (and row) positions; blank lines are skipped.  Bytes that are not
+    UTF-8 are read as lone surrogates, so the line holding them is named.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise Malformed(line_no, f"not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})") from None
             try:
                 payload = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting

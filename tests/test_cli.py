@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqscore
 import uqscore.measures as measures
 from uqscore.cli import main
 from uqscore.measures import ScoringRule
@@ -224,6 +228,8 @@ BAD_CONFIGS = [
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_initial": "x"}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": "x"}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers_seed": -1}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_initial": -5}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_test": -5}}),
     ("active", {"learner": [5]}),
     ("active", {"learner": {"n_trees": 2.5}}),
     ("active", {"learner": {"n_trees": 1}}),
@@ -251,6 +257,14 @@ class TestBadConfigValues:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["n_initial", "n_test"])
+    def test_negative_blobs_size_is_named(self, tmp_path, capsys, key):
+        body = dict(ACTIVE_CONFIG, dataset={"kind": "blobs", "k": 2, "n_per_class": 20, key: -5})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        assert f"'{key}' must be >= 0" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -317,8 +331,27 @@ class TestCliPlumbing:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\n\xff\xfe\n')
         assert main(["decompose", "--input", str(bad), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: line 2: not valid UTF-8")
         assert main(["decompose", "--input", str(pred_file), "--config", str(bad), "--out-dir", str(tmp_path)]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_mean_drift_names_the_line(self, tmp_path, capsys):
+        # each row passes alone; the clipped copy's mean sums past the tolerance
+        path = tmp_path / "p.jsonl"
+        write_predictions_file(path, ['{"id": "a", "samples": [[0.5, 0.5000000010002, -5e-13]]}'])
+        assert main(["decompose", "--input", str(path), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: the members' mean is off the simplex")
+        assert "1.0000000010002" in err
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about a second of start-up; AUROC ranks in numpy
+        src = Path(uqscore.__file__).resolve().parent.parent
+        code = "import sys, uqscore.cli; uqscore.cli.build_parser(); print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert done.stdout.strip() == "False"
 
     def test_threads_env_validated(self, tmp_path, pred_file, monkeypatch):
         monkeypatch.setenv("UQSCORE_THREADS", "potato")

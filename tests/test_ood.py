@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from uqscore.errors import DimensionMismatch, EmptySide, NonFiniteScore
 from uqscore.measures import ScoringRule, SecondOrderSample
-from uqscore.ood import AurocResult, ScoreSplit, auroc, auroc_pairwise, run_ood
+from uqscore.ood import AurocResult, ScoreSplit, _average_ranks, auroc, auroc_pairwise, run_ood
 
 LOG = ScoringRule.LOG
+
+
+def rankdata_auroc(split):
+    """The AUROC from ``scipy.stats.rankdata`` average ranks (reference path)."""
+    n_id, n_ood = split.id_scores.size, split.ood_scores.size
+    ranks = rankdata(np.concatenate([split.ood_scores, split.id_scores]), method="average")
+    u = float(ranks[:n_ood].sum()) - n_ood * (n_ood + 1) / 2.0
+    d = float(n_id * n_ood)
+    return u / d if 2.0 * u <= d else 1.0 - (d - u) / d
 
 
 class TestScoreSplit:
@@ -22,6 +32,29 @@ class TestScoreSplit:
             ScoreSplit([np.nan], [0.5])
         with pytest.raises(NonFiniteScore):
             ScoreSplit([0.1], [np.inf])
+
+
+class TestAverageRanks:
+    def assert_matches_rankdata(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        got = _average_ranks(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rankdata(x, method="average"))
+
+    def test_fuzzed_arrays(self, rng):
+        for _ in range(300):
+            self.assert_matches_rankdata(rng.normal(size=int(rng.integers(1, 400))))
+
+    def test_tie_heavy_integer_grids(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            self.assert_matches_rankdata(rng.integers(0, int(rng.integers(1, 12)), size=n))
+
+    def test_edge_values(self):
+        self.assert_matches_rankdata([0.25])
+        self.assert_matches_rankdata(np.full(9, 3.5))
+        self.assert_matches_rankdata([0.0, -0.0, 1.0, -0.0, 0.0])
+        self.assert_matches_rankdata([1e308, -1e308, 0.0, 1e308, -1e308, 5e-324])
 
 
 class TestAuroc:
@@ -77,6 +110,7 @@ class TestAuroc:
         split = ScoreSplit(np.array(id_scores, float), np.array(ood_scores, float))
         fast = auroc(split).auroc
         assert fast == pytest.approx(auroc_pairwise(split), abs=1e-12)
+        assert fast == rankdata_auroc(split)
         swapped = auroc(ScoreSplit(np.array(ood_scores, float), np.array(id_scores, float))).auroc
         assert fast + swapped == 1.0
 

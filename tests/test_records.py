@@ -86,6 +86,7 @@ class TestParse:
             '{"id": "a", "samples": [[0.5, 0.5]], "label": 3}',
             '{"id": "a", "samples": [[0.5, 0.5]], "label": 1.5}',
             '{"id": "a", "samples": [[0.5, 0.5]], "extra": 1}',
+            '{"id": "a", "samples": [[0.5, 0.5000000010002, -5e-13]]}',  # row passes alone, clipped mean does not
         ],
     )
     def test_malformed_lines(self, tmp_path, line):
@@ -116,6 +117,32 @@ class TestParse:
         path = tmp_path / "p.jsonl"
         write_lines(path, ["", '{"id": "a", "samples": [[0.5, 0.5]]}', ""])
         assert len(parse_predictions(path)) == 1
+
+
+class TestEncoding:
+    def test_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\n\xff\xfe\n')
+        with pytest.raises(Malformed, match=r"line 2: not valid UTF-8 \(byte 0xff at column 1\)") as err:
+            parse_predictions(path)
+        assert err.value.line == 2
+
+    def test_bad_byte_after_valid_multibyte_text(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'\n{"id": "\xc3\xa9t\xe9", "samples": [[0.5, 0.5]]}\n')
+        with pytest.raises(Malformed, match=r"byte 0xe9 at column 11") as err:
+            parse_predictions(path)
+        assert err.value.line == 2
+
+    def test_utf8_text_newlines_and_blank_lines_unchanged(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(
+            b'{"id": "\xc3\xa9t\xc3\xa9", "samples": [[0.5, 0.5]]}\r\n\r\n  \n'
+            b'{"id": "\xe2\x98\x83", "samples": [[0.25, 0.75]], "label": 2}'
+        )
+        records = parse_predictions(path)
+        assert [r.id for r in records] == ["\u00e9t\u00e9", "\u2603"]
+        assert records[1].label == 2
 
 
 class TestRoundTrip:
