@@ -48,9 +48,7 @@ from .active import (
     fit,
     make_blobs,
     make_epistemic_gap,
-    make_ood_points,
     predict_pool,
-    predict_second_order,
     run_active_learning,
 )
 from .records import PredictionRecord, parse_predictions, write_predictions
@@ -94,9 +92,7 @@ __all__ = [
     "fit",
     "make_blobs",
     "make_epistemic_gap",
-    "make_ood_points",
     "predict_pool",
-    "predict_second_order",
     "run_active_learning",
     "PredictionRecord",
     "parse_predictions",

@@ -13,7 +13,6 @@ region the initial labels never cover (`make_epistemic_gap`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .errors import (
     EmptyTrain,
     SplitOverlap,
 )
-from .measures import ScoringRule, SecondOrderSample, check_component, decompose
+from .measures import COMPONENTS, ScoringRule, _build_beliefs, _check_triples, _decompose_arrays, check_component
+from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
 
 __all__ = [
     "TabularDataset",
@@ -34,9 +34,7 @@ __all__ = [
     "ActiveLearningTrace",
     "make_blobs",
     "make_epistemic_gap",
-    "make_ood_points",
     "fit",
-    "predict_second_order",
     "predict_pool",
     "ensemble_zero_one_loss",
     "acquire",
@@ -173,12 +171,8 @@ def _grow(x: np.ndarray, y0: np.ndarray, k: int, depth: int, cfg: LearnerConfig)
     return node
 
 
-def _tree_predict(root: _Node, x: np.ndarray) -> np.ndarray:
-    """Leaf distribution for every row of ``x``: an (n, K) matrix."""
-    node = root
-    while node.feature is not None:
-        node = node.left
-    out = np.empty((x.shape[0], node.dist.shape[0]), dtype=np.float64)
+def _tree_predict(root: _Node, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the leaf distribution for every row of ``x`` into the (n, K) ``out``."""
     stack = [(root, np.arange(x.shape[0]))]
     while stack:
         node, idx = stack.pop()
@@ -188,7 +182,6 @@ def _tree_predict(root: _Node, x: np.ndarray) -> np.ndarray:
         mask = x[idx, node.feature] <= node.threshold
         stack.append((node.left, idx[mask]))
         stack.append((node.right, idx[~mask]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -226,32 +219,32 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
     return EnsembleLearner(tuple(trees), config, train.k, train.d, seed)
 
 
-def predict_second_order(learner: EnsembleLearner, x: Sequence[float]) -> SecondOrderSample:
-    """Per-tree leaf distributions of one input, in tree order."""
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != learner.d:
-        raise DimensionMismatch(f"input has {arr.shape[0]} features, model expects {learner.d}")
-    rows = np.stack([_tree_predict(t, arr[None, :])[0] for t in learner.trees])
-    return SecondOrderSample(rows)
-
-
 def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
-    """All member predictions for a batch: an (M, n, K) stack."""
+    """All member predictions for a batch: a point-major (n, M, K) array, so a reduction
+    over one input's members adds in the same order as for one ``SecondOrderSample``."""
     if x.ndim != 2 or x.shape[1] != learner.d:
         raise DimensionMismatch(f"inputs must be (n, {learner.d})")
-    return np.stack([_tree_predict(t, x) for t in learner.trees])
+    out = np.empty((x.shape[0], learner.n_trees, learner.k), dtype=np.float64)
+    for j, tree in enumerate(learner.trees):
+        _tree_predict(tree, x, out[:, j, :])
+    return out
 
 
-def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> list[SecondOrderSample]:
-    """Second-order samples for every row of ``x``."""
-    stack = _member_stack(learner, np.asarray(x, dtype=np.float64))
-    return [SecondOrderSample(stack[:, i, :]) for i in range(stack.shape[1])]
+def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
+    """Per-tree leaf distributions of every row of ``x``: a read-only (n, M, K) array.
+
+    Row i is the belief about input i, members in tree order, checked and
+    clipped exactly as ``SecondOrderSample(row).matrix`` would be.
+    """
+    pool = _member_stack(learner, np.asarray(x, dtype=np.float64))
+    _build_beliefs(pool)
+    return pool
 
 
 def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean argmax-mismatch of the averaged prediction (1-based labels)."""
     stack = _member_stack(learner, np.asarray(x, dtype=np.float64))
-    predicted = np.argmax(stack.mean(axis=0), axis=1) + 1
+    predicted = np.argmax(stack.mean(axis=1), axis=1) + 1
     return float(np.mean(predicted != np.asarray(labels)))
 
 
@@ -377,35 +370,6 @@ def make_epistemic_gap(
     return initial, pool, data
 
 
-def make_ood_points(
-    data: TabularDataset, n: int, sigmas: float, seed: int = 0, scale: float = 1.0
-) -> np.ndarray:
-    """A far-away blob for OoD benchmarks on a two-class dataset.
-
-    The blob sits on the midline between the two class means, displaced
-    orthogonally by ``sigmas`` pooled within-class standard deviations;
-    its own standard deviation is ``scale`` times the pooled one.
-    """
-    if data.k != 2:
-        raise BadConfig("OoD displacement is defined for two-class data")
-    if data.d < 2:
-        raise BadConfig("need at least two features to displace orthogonally")
-    if n < 1:
-        raise BadConfig("need at least one OoD point")
-    mu1 = data.features[data.labels == 1].mean(axis=0)
-    mu2 = data.features[data.labels == 2].mean(axis=0)
-    centered = data.features - np.where(data.labels[:, None] == 1, mu1, mu2)
-    sigma = float(centered.std())
-    diff = mu2 - mu1
-    axis = diff / np.linalg.norm(diff)
-    basis = np.eye(data.d)[np.argmin(np.abs(axis))]
-    perp = basis - np.dot(basis, axis) * axis
-    perp /= np.linalg.norm(perp)
-    center = (mu1 + mu2) / 2.0 + sigmas * sigma * perp
-    rng = np.random.default_rng(seed)
-    return center + scale * sigma * rng.normal(size=(n, data.d))
-
-
 # ---------------------------------------------------------------------------
 # Acquisition and the round loop.
 # ---------------------------------------------------------------------------
@@ -458,18 +422,19 @@ class AcquisitionStrategy:
 
 
 def acquire(
-    pool_samples: Sequence[SecondOrderSample],
+    pool: np.ndarray,
     strategy: AcquisitionStrategy,
     batch: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Indices (into the pool) to label next, sorted ascending.
 
-    Uncertainty strategies take the ``batch`` largest component values with
-    ties resolved toward the smallest index; random draws uniformly without
+    ``pool`` is the (n, M, K) array from :func:`predict_pool`.  Uncertainty
+    strategies take the ``batch`` largest component values with ties
+    resolved toward the smallest index; random draws uniformly without
     replacement from ``rng``.
     """
-    n = len(pool_samples)
+    n = len(pool)
     if batch < 0:
         raise BatchTooLarge("batch must be >= 0")
     if batch > n:
@@ -477,7 +442,9 @@ def acquire(
     if strategy.kind == "random":
         chosen = rng.choice(n, size=batch, replace=False)
         return np.sort(chosen)
-    values = np.array([decompose(strategy.rule, s).component(strategy.component) for s in pool_samples])
+    triple = _decompose_arrays(strategy.rule, pool, pool.mean(axis=-2))
+    _check_triples(*triple)
+    values = triple[COMPONENTS.index(strategy.component)]
     order = np.lexsort((np.arange(n), -values))
     return np.sort(order[:batch])
 
@@ -559,8 +526,7 @@ def run_active_learning(
         losses.append(ensemble_zero_one_loss(learner, data.features[test], data.labels[test]))
         if r == rounds:
             break
-        pool_samples = predict_pool(learner, data.features[pool_left])
-        picked = acquire(pool_samples, strategy, batch, np.random.default_rng([seed, r, 1]))
+        picked = acquire(predict_pool(learner, data.features[pool_left]), strategy, batch, np.random.default_rng([seed, r, 1]))
         labeled = np.sort(np.concatenate([labeled, pool_left[picked]]))
         pool_left = np.delete(pool_left, picked)
     return ActiveLearningTrace(np.array(counts), np.array(losses), strategy, seed)

@@ -20,7 +20,7 @@ from .active import (
     predict_pool,
     _two_blobs,
 )
-from .measures import ScoringRule
+from .measures import ScoringRule, SecondOrderSample
 from .ood import AurocResult, run_ood
 
 __all__ = [
@@ -65,8 +65,8 @@ def ood_trend_run(
         ]
     )
     learner = fit(OOD_LEARNER, train, seed=seed)
-    id_samples = predict_pool(learner, id_features)
-    ood_samples = predict_pool(learner, ood_eval)
+    id_samples = [SecondOrderSample(row) for row in predict_pool(learner, id_features)]
+    ood_samples = [SecondOrderSample(row) for row in predict_pool(learner, ood_eval)]
     return {
         rule: run_ood(id_samples, ood_samples, rule, component)
         for rule in ScoringRule

@@ -9,8 +9,7 @@ via ``--config``; config values override flags.  Exit codes: 0 success,
 file or config value).
 
 All commands are deterministic functions of their inputs, flags, and
-seed; computation is sequential, so the ``UQSCORE_THREADS`` cap (if set)
-is honored trivially.
+seed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import csv
 import json
 import math
 import operator
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +27,7 @@ import numpy as np
 
 from . import active as al
 from .benchmarks import gap_problem
-from .errors import BadConfig, EmptyInput, UqscoreError
+from .errors import BadConfig, EmptyInput, Malformed, SimplexViolation, UqscoreError
 from .measures import COMPONENTS, ScoringRule, check_component, decompose
 from .ood import run_ood
 from .records import parse_predictions, require_labels, uniform_class_count
@@ -46,19 +44,6 @@ def _fmt_real(x: float) -> str:
     if math.isinf(x):
         return '"inf"'
     return format(x, ".17g")
-
-
-def _threads_cap() -> int | None:
-    raw = os.environ.get("UQSCORE_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BadConfig(f"UQSCORE_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise BadConfig("UQSCORE_THREADS must be >= 1")
-    return value
 
 
 @dataclass
@@ -81,7 +66,6 @@ class RunConfig:
     strategies: list[str] = field(default_factory=list)
     rounds: int = 10
     batch: int = 5
-    threads: int | None = None
 
 
 #: The JSON type each config-file key must hold.
@@ -154,7 +138,6 @@ def _build_run_config(args: argparse.Namespace, parser: argparse.ArgumentParser)
         strategies=merged.get("strategies") or [],
         rounds=merged.get("rounds", 10),
         batch=merged.get("batch", 5),
-        threads=_threads_cap(),
     )
 
     if task in ("decompose", "selective", "ood") and cfg.input is None:
@@ -183,7 +166,11 @@ def _build_run_config(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def _load_records(cfg: RunConfig, path: Path):
-    records = parse_predictions(path, renormalize=cfg.renormalize)
+    try:
+        records = parse_predictions(path, renormalize=cfg.renormalize)
+    except (Malformed, SimplexViolation) as exc:
+        exc.args = (f"{path}: {exc}",)  # ood reads two files; name the bad one
+        raise
     if not records:
         raise EmptyInput(f"{path} holds no records")
     return records

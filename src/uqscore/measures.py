@@ -18,6 +18,7 @@ forms.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -111,6 +112,13 @@ class CategoricalDistribution:
     def __repr__(self) -> str:
         return f"CategoricalDistribution({np.array2string(self.probs, separator=', ')})"
 
+    @classmethod
+    def _of_checked(cls, probs: np.ndarray) -> "CategoricalDistribution":
+        """Wrap a read-only float64 (K,) row that already passed the simplex check, without a copy."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", probs)
+        return dist
+
 
 def _check_simplex_rows(rows: np.ndarray) -> None:
     """Raise unless every row of ``rows`` is a valid simplex point."""
@@ -128,6 +136,27 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
     bad = np.abs(sums - 1.0) > SIMPLEX_TOLERANCE
     if np.any(bad):
         raise NotNormalized(f"entries sum to {sums[bad][0]!r}, not 1")
+
+
+def _build_beliefs(members: np.ndarray) -> np.ndarray:
+    """Check, clip, average and freeze (..., M, K) member rows in place; returns their checked (..., K) means.
+
+    The one belief build, for :class:`SecondOrderSample` and the active-learning pool.
+    """
+    k = members.shape[-1]
+    _check_simplex_rows(members.reshape(math.prod(members.shape[:-1]), k))
+    np.clip(members, 0.0, 1.0, out=members)  # float-noise entries within tolerance
+    means = members.mean(axis=-2)
+    # Subnormal member entries can average to exactly zero; drop such
+    # dust so a zero mean entry always implies all-zero member entries
+    # (which keeps every divergence finite).
+    underflow = (means == 0.0) & (members > 0.0).any(axis=-2)
+    if underflow.any():
+        np.copyto(members, 0.0, where=underflow[..., None, :])
+    _check_simplex_rows(means.reshape(-1, k))
+    members.setflags(write=False)
+    means.setflags(write=False)
+    return means
 
 
 def _prepare_rows(rows: np.ndarray, renormalize: bool) -> np.ndarray:
@@ -186,18 +215,8 @@ class SecondOrderSample:
             raise SimplexError("expected an (M, K) matrix of member distributions")
         if arr.shape[0] < 1:
             raise SimplexError("a second-order sample needs at least one member")
-        _check_simplex_rows(arr)
-        np.clip(arr, 0.0, 1.0, out=arr)  # float-noise entries within tolerance
-        mean = arr.mean(axis=0)
-        # Subnormal member entries can average to exactly zero; drop such
-        # dust so a zero mean entry always implies all-zero member entries
-        # (which keeps every divergence finite).
-        underflow = (mean == 0.0) & (arr > 0.0).any(axis=0)
-        if underflow.any():
-            arr[:, underflow] = 0.0
-        arr.setflags(write=False)
+        self.mean = CategoricalDistribution._of_checked(_build_beliefs(arr))
         self.matrix = arr
-        self.mean = CategoricalDistribution(mean)
 
     @property
     def m(self) -> int:
@@ -230,7 +249,25 @@ class UncertaintyTriple:
     rule: ScoringRule
 
     def __post_init__(self):
-        t, a, e = self.total, self.aleatoric, self.epistemic
+        _check_triples(self.total, self.aleatoric, self.epistemic)
+
+    def component(self, name: str) -> float:
+        """Return one of the three components by name."""
+        check_component(name)
+        return getattr(self, name)
+
+
+def _check_triples(total, aleatoric, epistemic) -> None:
+    """Raise ValueError at the first of the (float or array) triples that is not additive or not proper."""
+    # inf - inf is a silent nan for floats but warns for arrays; entering errstate costs microseconds
+    with np.errstate(invalid="ignore") if isinstance(total, np.ndarray) else contextlib.nullcontext():
+        ok = (abs(total - aleatoric - epistemic) <= 1e-9) & (epistemic >= -1e-12)
+        ok &= (total >= -1e-12) & (aleatoric >= -1e-12)
+    if ok is True or np.all(ok):  # floats give a plain bool, which np.all would take microseconds over
+        return
+    # only infinities, NaNs and faults get here; walk them in order with the scalar rules
+    for i in np.flatnonzero(~np.asarray(ok)):
+        t, a, e = (float(np.ravel(x)[i]) for x in (total, aleatoric, epistemic))
         if math.isinf(t) or math.isinf(a) or math.isinf(e):
             # extended-real additivity: an infinity must appear on both sides
             if math.isinf(t) != (math.isinf(a) or math.isinf(e)):
@@ -242,54 +279,51 @@ class UncertaintyTriple:
         if t < -1e-12 or a < -1e-12:
             raise ValueError("uncertainty components must be nonnegative")
 
-    def component(self, name: str) -> float:
-        """Return one of the three components by name."""
-        check_component(name)
-        return getattr(self, name)
-
 
 # ---------------------------------------------------------------------------
 # Closed-form kernels.
 #
-# Each kernel is row-wise over an (N, K) matrix; ``decompose``, ``entropy``
-# and ``divergence`` all dispatch through these dictionaries, so a single
-# corrupted entry is caught by the verification suites.
+# Each kernel reduces over the last (class) axis of arrays of any leading
+# shape; ``_decompose_arrays``, ``entropy`` and ``divergence`` all dispatch
+# through these dictionaries, so a single corrupted entry is caught by the
+# verification suites.
 # ---------------------------------------------------------------------------
 
 
 def _entropy_log(t: np.ndarray) -> np.ndarray:
-    return -xlogy(t, t).sum(axis=1)
+    return -xlogy(t, t).sum(axis=-1)
 
 
 def _entropy_brier(t: np.ndarray) -> np.ndarray:
-    return 1.0 - np.square(t).sum(axis=1)
+    return 1.0 - np.square(t).sum(axis=-1)
 
 
 def _entropy_zero_one(t: np.ndarray) -> np.ndarray:
-    return 1.0 - t.max(axis=1)
+    return 1.0 - t.max(axis=-1)
 
 
 def _entropy_spherical(t: np.ndarray) -> np.ndarray:
-    return 1.0 - np.linalg.norm(t, axis=1)
+    return 1.0 - np.linalg.norm(t, axis=-1)
 
 
 def _divergence_log(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     # rel_entr(t, p) = t * log(t / p), with 0 * log(0 / p) = 0 and +inf when
     # t > 0 = p: exactly the extended-real KL convention used throughout.
-    return rel_entr(t, p).sum(axis=1)
+    return rel_entr(t, p).sum(axis=-1)
 
 
 def _divergence_brier(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.square(p - t).sum(axis=1)
+    diff = p - t
+    return np.square(diff, out=diff).sum(axis=-1)  # in place: one pool-sized temporary, not two
 
 
 def _divergence_zero_one(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    j = np.argmax(p, axis=1)
-    return t.max(axis=1) - t[np.arange(t.shape[0]), j]
+    hit = np.argmax(p, axis=-1)[..., None] == np.arange(p.shape[-1])  # one-hot argmax of p
+    return t.max(axis=-1) - t.max(axis=-1, where=hit, initial=-np.inf)  # t at that argmax, read exactly
 
 
 def _divergence_spherical(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(t, axis=1) - (p * t).sum(axis=1) / np.linalg.norm(p, axis=1)
+    return np.linalg.norm(t, axis=-1) - (p * t).sum(axis=-1) / np.linalg.norm(p, axis=-1)
 
 
 _ENTROPY_KERNELS = {
@@ -389,7 +423,7 @@ def entropy(rule: ScoringRule, truth: CategoricalDistribution) -> float:
     one minus the maximum (zero-one), one minus the Euclidean norm
     (spherical).  Always finite and nonnegative.
     """
-    return float(_ENTROPY_KERNELS[rule](truth.probs[None, :])[0])
+    return float(_ENTROPY_KERNELS[rule](truth.probs))
 
 
 def divergence(
@@ -405,7 +439,21 @@ def divergence(
     """
     if prediction.k != truth.k:
         raise DimensionMismatch(f"prediction has K={prediction.k}, truth has K={truth.k}")
-    return float(_DIVERGENCE_KERNELS[rule](prediction.probs[None, :], truth.probs[None, :])[0])
+    return float(_DIVERGENCE_KERNELS[rule](prediction.probs, truth.probs))
+
+
+def _decompose_arrays(rule: ScoringRule, members: np.ndarray, means: np.ndarray):
+    """Closed-form (total, aleatoric, epistemic) arrays of checked (..., M, K) beliefs and their (..., K) means.
+
+    The one place the kernel tables are combined; callers run :func:`_check_triples`.
+    """
+    total = _ENTROPY_KERNELS[rule](means)
+    if members.shape[-2] == 1:
+        # the mean is the sole member, so there is exactly nothing to gain
+        return total, total, np.zeros_like(total)
+    aleatoric = _ENTROPY_KERNELS[rule](members).mean(axis=-1)
+    epistemic = _DIVERGENCE_KERNELS[rule](means[..., None, :], members).mean(axis=-1)
+    return total, aleatoric, epistemic
 
 
 def decompose(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:
@@ -414,14 +462,8 @@ def decompose(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple
     total = entropy of the member mean, aleatoric = average member entropy,
     epistemic = average divergence of the mean from the members.
     """
-    mean_row = sample.mean.probs[None, :]
-    total = float(_ENTROPY_KERNELS[rule](mean_row)[0])
-    if sample.m == 1:
-        # the mean is the sole member, so there is exactly nothing to gain
-        return UncertaintyTriple(total, total, 0.0, rule)
-    aleatoric = float(_ENTROPY_KERNELS[rule](sample.matrix).mean())
-    epistemic = float(_DIVERGENCE_KERNELS[rule](mean_row, sample.matrix).mean())
-    return UncertaintyTriple(total, aleatoric, epistemic, rule)
+    total, aleatoric, epistemic = _decompose_arrays(rule, sample.matrix, sample.mean.probs)
+    return UncertaintyTriple(float(total), float(aleatoric), float(epistemic), rule)
 
 
 def generic_triple(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:

@@ -11,9 +11,7 @@ from uqscore.active import (
     fit,
     make_blobs,
     make_epistemic_gap,
-    make_ood_points,
     predict_pool,
-    predict_second_order,
     run_active_learning,
 )
 from uqscore.benchmarks import GAP_LEARNER, gap_problem
@@ -24,12 +22,18 @@ from uqscore.errors import (
     EmptyTrain,
     SplitOverlap,
 )
-from uqscore.measures import ScoringRule, SecondOrderSample, decompose
+from uqscore.measures import COMPONENTS, ScoringRule, SecondOrderSample, decompose
+from uqscore.verify import random_belief
 
 from conftest import RULES
 
 LOG = ScoringRule.LOG
 ZERO_ONE = ScoringRule.ZERO_ONE
+
+
+def predict_one(learner, x):
+    """The belief about one input: a batch of one from predict_pool."""
+    return SecondOrderSample(predict_pool(learner, np.asarray([x], dtype=np.float64))[0])
 
 
 class TestConfigsAndTypes:
@@ -135,7 +139,7 @@ class TestEpistemicGap:
             initial, pool, data = make_epistemic_gap(40, 30, seed=seed)
             learner = fit(GAP_LEARNER, data.subset(initial), seed=seed)
             samples = predict_pool(learner, data.features[pool])
-            eu = np.array([decompose(ZERO_ONE, s).epistemic for s in samples])
+            eu = np.array([decompose(ZERO_ONE, SecondOrderSample(row)).epistemic for row in samples])
             is_gap = data.features[pool][:, 1] > 4.0
             assert eu[is_gap].mean() > eu[~is_gap].mean()
 
@@ -144,7 +148,7 @@ class TestFitAndPredict:
     def test_single_point_smoothed_leaf(self):
         data = TabularDataset([[0.0, 0.0]], [1], 2)
         learner = fit(LearnerConfig(n_trees=3, alpha=1.0), data, seed=7)
-        sample = predict_second_order(learner, [0.0, 0.0])
+        sample = predict_one(learner, [0.0, 0.0])
         np.testing.assert_allclose(sample.matrix, [[2 / 3, 1 / 3]] * 3, atol=1e-15)
 
     def test_separable_training_loss_zero(self):
@@ -156,9 +160,32 @@ class TestFitAndPredict:
         data = make_blobs(2, 30, d=2, spread=0.4, centers_seed=3, noise_seed=4)
         cfg = LearnerConfig(n_trees=6, depth_cap=4)
         probe = rng.normal(size=(25, 2))
-        a = np.stack([s.matrix for s in predict_pool(fit(cfg, data, seed=11), probe)])
-        b = np.stack([s.matrix for s in predict_pool(fit(cfg, data, seed=11), probe)])
+        a = predict_pool(fit(cfg, data, seed=11), probe)
+        b = predict_pool(fit(cfg, data, seed=11), probe)
         assert np.array_equal(a, b)
+
+    def test_pool_rows_are_checked_beliefs(self, rng):
+        # each row equals the matrix SecondOrderSample builds from it, and
+        # the row mean equals that sample's mean, bit for bit
+        data = make_blobs(3, 30, d=2, spread=0.5, centers_seed=3, noise_seed=4)
+        learner = fit(LearnerConfig(n_trees=9, depth_cap=4, alpha=0.0), data, seed=2)
+        pool = predict_pool(learner, rng.normal(size=(40, 2)))
+        assert pool.shape == (40, 9, 3) and pool.dtype == np.float64
+        assert pool.flags.c_contiguous and not pool.flags.writeable
+        means = pool.mean(axis=-2)
+        for row, mean in zip(pool, means):
+            sample = SecondOrderSample(row)
+            assert np.array_equal(row, sample.matrix)
+            assert np.array_equal(mean, sample.mean.probs)
+
+    def test_pool_rows_match_member_order(self):
+        # member j of row i is tree j's leaf distribution for input i
+        data = make_blobs(2, 20, d=2, spread=0.6, centers_seed=1, noise_seed=2)
+        learner = fit(LearnerConfig(n_trees=5, depth_cap=3), data, seed=4)
+        x = data.features[:7]
+        pool = predict_pool(learner, x)
+        for i in range(7):
+            assert np.array_equal(pool[i], predict_pool(learner, x[i : i + 1])[0])
 
     def test_empty_train(self):
         data = make_blobs(2, 3, d=2)
@@ -169,13 +196,13 @@ class TestFitAndPredict:
         data = make_blobs(2, 5, d=3)
         learner = fit(LearnerConfig(n_trees=2), data, seed=0)
         with pytest.raises(DimensionMismatch):
-            predict_second_order(learner, [0.0, 0.0])
+            predict_one(learner, [0.0, 0.0])
 
     def test_identical_members_when_data_is_one_class(self):
         # bootstrap cannot change a single-class sample: all leaves agree
         data = TabularDataset(np.zeros((6, 1)), [1] * 6, 2)
         learner = fit(LearnerConfig(n_trees=4), data, seed=5)
-        sample = predict_second_order(learner, [0.0])
+        sample = predict_one(learner, [0.0])
         for rule in RULES:
             assert decompose(rule, sample).epistemic <= 1e-12
 
@@ -184,7 +211,7 @@ class TestFitAndPredict:
         # so the leaf tables put their mass on different classes
         data = TabularDataset([[0.0], [0.0]], [1, 2], 2)
         learner = fit(LearnerConfig(n_trees=2, depth_cap=3), data, seed=10)
-        sample = predict_second_order(learner, [0.0])
+        sample = predict_one(learner, [0.0])
         assert sorted(map(tuple, sample.matrix.tolist())) == [(0.25, 0.75), (0.75, 0.25)]
         assert decompose(ZERO_ONE, sample).epistemic > 0.0
 
@@ -193,7 +220,7 @@ class TestFitAndPredict:
         # (0.9, 0.1) and (0.5, 0.5), the frozen decomposition fixture
         data = TabularDataset(np.zeros((8, 1)), [1] * 7 + [2], 2)
         learner = fit(LearnerConfig(n_trees=2, depth_cap=3, alpha=1.0), data, seed=140)
-        sample = predict_second_order(learner, [0.0])
+        sample = predict_one(learner, [0.0])
         assert sample.matrix.tolist() == [[0.9, 0.1], [0.5, 0.5]]
         triple = decompose(LOG, sample)
         assert triple.total == pytest.approx(0.6108643020548936, abs=1e-9)
@@ -201,36 +228,23 @@ class TestFitAndPredict:
         assert triple.epistemic == pytest.approx(0.10174922507919693, abs=1e-9)
 
 
-class TestMakeOodPoints:
-    def test_displacement_and_scale(self):
-        data = make_blobs(2, 200, d=2, spread=0.1, centers=[[0.0, 0.0], [4.0, 0.0]], noise_seed=9)
-        pts = make_ood_points(data, 500, sigmas=8.0, seed=3, scale=0.5)
-        center = pts.mean(axis=0)
-        mid = data.features.mean(axis=0)
-        sigma = (data.features - np.where(data.labels[:, None] == 1,
-                                          data.features[data.labels == 1].mean(axis=0),
-                                          data.features[data.labels == 2].mean(axis=0))).std()
-        assert np.linalg.norm(center - mid) == pytest.approx(8.0 * sigma, rel=0.1)
-        assert pts.std(axis=0).mean() == pytest.approx(0.5 * sigma, rel=0.15)
-
-    def test_requires_two_classes(self):
-        data = make_blobs(3, 10, d=2)
-        with pytest.raises(BadConfig):
-            make_ood_points(data, 10, sigmas=6.0)
+def pool_of(*beliefs):
+    """An (n, M, K) pool of checked beliefs, as predict_pool returns, from (M, K) member lists."""
+    return np.stack([SecondOrderSample(b).matrix for b in beliefs])
 
 
 class TestAcquire:
     def _pool(self):
-        agree = SecondOrderSample([[0.9, 0.1], [0.9, 0.1]])  # EU 0
-        disagree = SecondOrderSample([[0.9, 0.1], [0.3, 0.7]])  # EU > 0
-        return [agree, disagree]
+        agree = [[0.9, 0.1], [0.9, 0.1]]  # EU 0
+        disagree = [[0.9, 0.1], [0.3, 0.7]]  # EU > 0
+        return pool_of(agree, disagree)
 
     def test_picks_higher_epistemic(self, rng):
         picked = acquire(self._pool(), AcquisitionStrategy.uncertainty(ZERO_ONE), 1, rng)
         assert picked.tolist() == [1]
 
     def test_tie_break_lowest_indices(self, rng):
-        pool = [SecondOrderSample([[0.6, 0.4]])] * 5
+        pool = pool_of(*[[[0.6, 0.4]]] * 5)
         picked = acquire(pool, AcquisitionStrategy.uncertainty(ZERO_ONE), 3, rng)
         assert picked.tolist() == [0, 1, 2]
 
@@ -243,7 +257,7 @@ class TestAcquire:
             acquire(self._pool(), AcquisitionStrategy.random(), 3, rng)
 
     def test_random_is_deterministic_given_state(self):
-        pool = [SecondOrderSample([[0.5, 0.5]])] * 10
+        pool = pool_of(*[[[0.5, 0.5]]] * 10)
         a = acquire(pool, AcquisitionStrategy.random(), 4, np.random.default_rng(3))
         b = acquire(pool, AcquisitionStrategy.random(), 4, np.random.default_rng(3))
         assert a.tolist() == b.tolist()
@@ -251,11 +265,27 @@ class TestAcquire:
     def test_never_prefers_argmax_agreeing_instances(self, rng):
         # while any argmax-disagreeing instance remains in the pool,
         # zero-one epistemic acquisition only takes disagreeing ones
-        agree = [SecondOrderSample([[0.9, 0.1], [0.7, 0.3]]) for _ in range(6)]
-        disagree = [SecondOrderSample([[0.9, 0.1], [0.4, 0.6]]) for _ in range(3)]
-        pool = agree[:3] + disagree + agree[3:]
+        agree = [[[0.9, 0.1], [0.7, 0.3]]] * 6
+        disagree = [[[0.9, 0.1], [0.4, 0.6]]] * 3
+        pool = pool_of(*agree[:3], *disagree, *agree[3:])
         picked = acquire(pool, AcquisitionStrategy.uncertainty(ZERO_ONE), 3, rng)
         assert sorted(picked.tolist()) == [3, 4, 5]
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_matches_per_belief_ranking_with_planted_ties(self, rule, component):
+        # the array ranking picks what ranking per-belief decompose values
+        # with the same lexsort picks; repeated beliefs plant exact ties
+        rng = np.random.default_rng(23)
+        distinct = [random_belief(rng, k=4, m=6).matrix for _ in range(12)]
+        rows = [distinct[i] for i in rng.integers(0, 12, size=60)]
+        pool = pool_of(*rows)
+        values = np.array([decompose(rule, SecondOrderSample(r)).component(component) for r in rows])
+        assert np.unique(values).size < values.size
+        for batch in (1, 7, 30, 60):
+            want = np.sort(np.lexsort((np.arange(60), -values))[:batch])
+            got = acquire(pool, AcquisitionStrategy.uncertainty(rule, component), batch, rng)
+            assert got.tolist() == want.tolist()
 
 
 class TestRunActiveLearning:

@@ -282,7 +282,7 @@ class TestVerifyCommand:
         # corrupt one closed-form constant through a debug hook: the
         # decomposition stops being additive, the suite fails and is named
         broken = dict(measures._ENTROPY_KERNELS)
-        broken[ScoringRule.BRIER] = lambda t: 1.0 - 0.99 * np.square(t).sum(axis=1)
+        broken[ScoringRule.BRIER] = lambda t: 1.0 - 0.99 * np.square(t).sum(axis=-1)
         monkeypatch.setattr(measures, "_ENTROPY_KERNELS", broken)
         assert main(["verify", "--suite", "decompose"]) == 1
         out = capsys.readouterr().out
@@ -331,7 +331,7 @@ class TestCliPlumbing:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\n\xff\xfe\n')
         assert main(["decompose", "--input", str(bad), "--out-dir", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith("error: line 2: not valid UTF-8")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: not valid UTF-8")
         assert main(["decompose", "--input", str(pred_file), "--config", str(bad), "--out-dir", str(tmp_path)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
@@ -341,7 +341,7 @@ class TestCliPlumbing:
         write_predictions_file(path, ['{"id": "a", "samples": [[0.5, 0.5000000010002, -5e-13]]}'])
         assert main(["decompose", "--input", str(path), "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1: the members' mean is off the simplex")
+        assert err.startswith(f"error: {path}: line 1: the members' mean is off the simplex")
         assert "1.0000000010002" in err
 
     def test_import_leaves_out_scipy_stats(self):
@@ -353,11 +353,22 @@ class TestCliPlumbing:
         )
         assert done.stdout.strip() == "False"
 
-    def test_threads_env_validated(self, tmp_path, pred_file, monkeypatch):
-        monkeypatch.setenv("UQSCORE_THREADS", "potato")
-        assert main(["decompose", "--input", str(pred_file), "--out-dir", str(tmp_path)]) == 3
-        monkeypatch.setenv("UQSCORE_THREADS", "2")
-        assert main(["decompose", "--input", str(pred_file), "--out-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b"\xff\xfe", "line 2: not valid UTF-8 (byte 0xff at column 1)"),
+            (b'{"id": "b", "samples": [[0.5, 0.6]]}', "line 2, row 1: entries sum to"),
+        ],
+    )
+    def test_parse_errors_name_the_bad_input(self, tmp_path, pred_file, capsys, bad_line, message):
+        # ood reads two files; either order must say which one is bad
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\n' + bad_line + b"\n")
+        for first, second in ((pred_file, bad), (bad, pred_file)):
+            argv = ["ood", "--input", str(first), "--input-ood", str(second), "--out-dir", str(tmp_path)]
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
 
     def test_renormalize_flag_path(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -13,10 +13,13 @@ from uqscore.errors import (
     ZeroMass,
 )
 from uqscore.measures import (
+    COMPONENTS,
     CategoricalDistribution,
     ScoringRule,
     SecondOrderSample,
     UncertaintyTriple,
+    _check_triples,
+    _decompose_arrays,
     _loss_table,
     decompose,
     divergence,
@@ -26,6 +29,8 @@ from uqscore.measures import (
     loss,
     validate_simplex,
 )
+
+from uqscore.verify import random_belief
 
 from conftest import RULES, STRICT_RULES, beliefs, distribution_pairs, distributions
 
@@ -306,6 +311,53 @@ class TestDecompose:
         sample = SecondOrderSample([[0.9, 0.1], [0.6, 0.4], [0.7, 0.3]])
         assert decompose(ZERO_ONE, sample).epistemic <= 1e-12
         assert decompose(LOG, sample).epistemic > 1e-12
+
+
+class TestDecomposeArrays:
+    @pytest.mark.parametrize("k, m", [(2, 1), (5, 1), (2, 8), (3, 7), (10, 9), (4, 30), (64, 33)])
+    def test_stack_equals_each_belief(self, rng, k, m):
+        # one (n, M, K) call equals the same function on each (M, K) belief
+        # and per-object decompose by ==, and the oracle within 1e-9
+        raw = np.stack([random_belief(rng, k=k, m=m).matrix for _ in range(30)])
+        raw[::3, :, 0] += raw[::3, :, -1]  # plant a zero column in every third belief
+        raw[::3, :, -1] = 0.0
+        members = np.stack([SecondOrderSample(matrix).matrix for matrix in raw])
+        means = members.mean(axis=-2)
+        for rule in RULES:
+            batched = _decompose_arrays(rule, members, means)
+            assert all(part.shape == (30,) for part in batched)
+            for i, matrix in enumerate(members):
+                single = _decompose_arrays(rule, matrix, means[i])
+                sample = SecondOrderSample(matrix)
+                triple = decompose(rule, sample)
+                generic = generic_triple(rule, sample)
+                for j, name in enumerate(COMPONENTS):
+                    assert batched[j][i] == single[j] == getattr(triple, name)
+                    assert abs(batched[j][i] - getattr(generic, name)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1.0, 0.2, 0.2),
+            (0.5, 0.6, -0.1),
+            (-0.5, -0.2, -0.3),
+            (math.inf, 0.5, 0.5),
+            (0.5, math.inf, 0.0),
+        ],
+    )
+    def test_array_check_names_the_first_bad_triple(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            UncertaintyTriple(*bad, LOG)
+        # consistent infinities and NaNs pass, as they do one at a time
+        fine = [(0.5, 0.3, 0.2), (math.inf, math.inf, 0.0), (math.nan, 0.1, 0.1), (math.inf, 0.2, math.inf)]
+        for t in fine:
+            UncertaintyTriple(*t, LOG)
+        later = (2.0, 0.1, 0.1)
+        parts = np.array(fine + [bad, later]).T
+        with pytest.raises(ValueError) as batched:
+            _check_triples(*parts)
+        assert str(batched.value) == str(scalar.value)
+        _check_triples(*np.array(fine).T)
 
 
 class TestUncertaintyTriple:
