@@ -8,11 +8,16 @@ every uncertainty component from :mod:`uqscore.measures` is available as
 an acquisition score.  Synthetic dataset generators provide a separable
 baseline (`make_blobs`) and a benchmark whose unlabeled pool hides a
 region the initial labels never cover (`make_epistemic_gap`).
+
+The ensemble is one flat node table, grown for all trees at once, breadth
+first, and read by descending every (input, tree) pair one level per step
+(see :class:`EnsembleLearner`); its per-tree node objects are derived views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,86 +114,32 @@ class LearnerConfig:
 
 
 class _Node:
+    """One node of a tree as nested objects, a read-only view of the flat model."""
+
     __slots__ = ("feature", "threshold", "left", "right", "dist")
 
     def __init__(self, feature=None, threshold=None, left=None, right=None, dist=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.dist = dist
+        self.feature, self.threshold, self.left, self.right, self.dist = feature, threshold, left, right, dist
 
 
-def _best_split(x: np.ndarray, onehot: np.ndarray, min_leaf: int):
-    """Best (weighted-Gini, feature, threshold) or None.
-
-    Ties go to the smallest feature index, then the smallest threshold;
-    thresholds are midpoints between consecutive distinct values, nudged
-    back onto the lower value when the midpoint rounds up to the higher
-    one so that the train-time partition matches the ``x <= t`` predicate.
-    """
-    n, d = x.shape
-    best = None
-    for f in range(d):
-        vals = x[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        counts = np.cumsum(onehot[order], axis=0)
-        total = counts[-1]
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        cl = counts[:-1]
-        cr = total[None, :] - cl
-        gini_l = 1.0 - np.square(cl / left_n[:, None]).sum(axis=1)
-        gini_r = 1.0 - np.square(cr / right_n[:, None]).sum(axis=1)
-        cost = (left_n * gini_l + right_n * gini_r) / n
-        valid = (sv[:-1] < sv[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        cost = np.where(valid, cost, np.inf)
-        i = int(np.argmin(cost))
-        if best is None or cost[i] < best[0]:
-            thr = (sv[i] + sv[i + 1]) / 2.0
-            if thr >= sv[i + 1]:
-                thr = sv[i]
-            best = (float(cost[i]), f, float(thr))
-    return best
-
-
-def _grow(x: np.ndarray, y0: np.ndarray, k: int, depth: int, cfg: LearnerConfig) -> _Node:
-    n = y0.shape[0]
-    counts = np.bincount(y0, minlength=k)
-    if depth >= cfg.depth_cap or counts.max() == n or n < 2 * cfg.min_leaf:
-        return _Node(dist=(counts + cfg.alpha) / (n + k * cfg.alpha))
-    best = _best_split(x, np.eye(k)[y0], cfg.min_leaf)
-    if best is None:
-        return _Node(dist=(counts + cfg.alpha) / (n + k * cfg.alpha))
-    _, f, thr = best
-    mask = x[:, f] <= thr
-    node = _Node(feature=f, threshold=thr)
-    node.left = _grow(x[mask], y0[mask], k, depth + 1, cfg)
-    node.right = _grow(x[~mask], y0[~mask], k, depth + 1, cfg)
-    return node
-
-
-def _tree_predict(root: _Node, x: np.ndarray, out: np.ndarray) -> None:
-    """Write the leaf distribution for every row of ``x`` into the (n, K) ``out``."""
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.feature is None:
-            out[idx] = node.dist
-            continue
-        mask = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleLearner:
-    """A fitted bag of trees; prediction is deterministic given the model."""
+    """A fitted bag of trees as one flat node table; prediction is deterministic given the model.
 
-    trees: tuple
+    Node ``i`` splits on ``feature[i]`` and sends a row to ``left[i]`` when
+    its value is ``<= threshold[i]``, else to ``right[i]``.  A leaf has
+    feature -1 and is its own left and right child, so a fixed ``depth``
+    of descent steps lands every row on a leaf.  ``leaf[i]`` holds the
+    smoothed class frequencies of the training rows that reached node
+    ``i``; only leaf rows are read.  Tree ``j``'s root is node ``j``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+    depth: int
     config: LearnerConfig
     k: int
     d: int
@@ -196,7 +147,19 @@ class EnsembleLearner:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.config.n_trees
+
+    @cached_property
+    def trees(self) -> tuple:
+        """Per-tree roots as :class:`_Node` objects, built once on first use; prediction never reads them."""
+        nodes = [
+            _Node(dist=self.leaf[i]) if f < 0 else _Node(feature=int(f), threshold=float(t))
+            for i, (f, t) in enumerate(zip(self.feature.tolist(), self.threshold.tolist()))
+        ]
+        for node, left, right in zip(nodes, self.left.tolist(), self.right.tolist()):
+            if node.dist is None:
+                node.left, node.right = nodes[left], nodes[right]
+        return tuple(nodes[: self.n_trees])
 
 
 def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
@@ -204,30 +167,103 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
 
     Per-tree sampling streams are spawned from ``seed`` in tree order, so
     refitting with the same configuration, data, and seed reproduces the
-    model exactly.
+    model exactly.  All trees grow together, breadth first: at each depth,
+    one sorted pass per feature over the rows of every open node scores
+    every split by weighted Gini impurity.  Within a node the cheapest
+    threshold wins, ties going to the smallest threshold, then to the
+    smallest feature index.  Thresholds are midpoints between consecutive
+    distinct values, nudged back onto the lower value when the midpoint
+    rounds up to the higher one, so the train-time partition matches the
+    ``x <= t`` predicate.
     """
     if train.n == 0:
         raise EmptyTrain("cannot fit on an empty training set")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(config.n_trees)
-    y0 = train.labels - 1
-    trees = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, train.n, size=train.n)
-        trees.append(_grow(train.features[idx], y0[idx], train.k, 0, config))
-    return EnsembleLearner(tuple(trees), config, train.k, train.d, seed)
+    n, k, m, min_leaf = train.n, train.k, config.n_trees, config.min_leaf
+    streams = np.random.SeedSequence(seed).spawn(m)
+    boot = np.concatenate([np.random.default_rng(child).integers(0, n, size=n) for child in streams])
+    x = train.features[boot]  # tree-major bootstrap rows
+    y = train.labels[boot] - 1
+    onehot = np.eye(k)[y]
+    # per-feature rank of every row, ties in row order: sorting rows by
+    # (node, rank) sorts each node's rows stably by value
+    rank = np.argsort(np.argsort(x, axis=0, kind="stable"), axis=0, kind="stable")
+    rows = np.arange(m * n)  # rows of the open nodes, in no particular order
+    seg = np.repeat(np.arange(m), n)  # open-node index of each row
+    s, first_id, levels = m, 0, []
+    while True:
+        counts = np.bincount(seg * k + y[rows], minlength=s * k).reshape(s, k)
+        size = np.bincount(seg, minlength=s)
+        left = first_id + np.arange(s)
+        feature, threshold, right = np.full(s, -1), np.full(s, np.nan), left.copy()
+        levels.append((feature, threshold, left, right, (counts + config.alpha) / (size + k * config.alpha)[:, None]))
+        first_id += s
+        open_ = (counts.max(axis=1) < size) & (size >= 2 * min_leaf)
+        if len(levels) > config.depth_cap or not open_.any():
+            break
+        keep = open_[seg]
+        r, sg = rows[keep], (np.cumsum(open_) - 1)[seg[keep]]
+        cnt = size[open_]
+        st = np.cumsum(cnt) - cnt
+        last = st + cnt - 1
+        pos = np.delete(np.arange(r.size), last)  # split after pos: each node's rows but its last
+        psg = np.repeat(np.arange(cnt.size), cnt - 1)
+        left_n = (pos - st[psg] + 1).astype(np.float64)
+        right_n = cnt[psg] - left_n
+        first = st - np.arange(cnt.size)  # each node's first position
+        best_cost = np.full(cnt.size, np.inf)
+        best_f = np.full(cnt.size, -1)
+        best_thr = np.zeros(cnt.size)
+        for f in range(train.d):
+            rs = r[np.argsort(sg * x.shape[0] + rank[r, f])]
+            sv = x[rs, f]
+            cum = np.cumsum(onehot[rs], axis=0)  # exact integer counts
+            before = cum[st - 1]  # counts before each node's first row
+            before[0] = 0.0
+            cl = cum[pos] - before[psg]
+            cr = (cum[last] - before)[psg] - cl
+            gini_l = 1.0 - np.square(cl / left_n[:, None]).sum(axis=1)
+            gini_r = 1.0 - np.square(cr / right_n[:, None]).sum(axis=1)
+            cost = (left_n * gini_l + right_n * gini_r) / cnt[psg]
+            valid = (sv[pos] < sv[pos + 1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+            cost = np.where(valid, cost, np.inf)
+            low = np.minimum.reduceat(cost, first)
+            i = pos[np.minimum.reduceat(np.where(cost == low[psg], np.arange(pos.size), pos.size), first)]
+            better = low < best_cost
+            lo, hi = sv[i[better]], sv[i[better] + 1]
+            thr = (lo + hi) / 2.0
+            best_thr[better] = np.where(thr >= hi, lo, thr)
+            best_cost[better] = low[better]
+            best_f[better] = f
+        split = best_f >= 0
+        if not split.any():
+            break
+        node = np.flatnonzero(open_)[split]
+        feature[node], threshold[node] = best_f[split], best_thr[split]
+        left[node] = first_id + 2 * np.arange(node.size)
+        right[node] = left[node] + 1
+        moving = split[sg]
+        rows, sg = r[moving], sg[moving]
+        seg = 2 * (np.cumsum(split) - 1)[sg] + ~(x[rows, best_f[sg]] <= best_thr[sg])
+        s = 2 * node.size
+    feature, threshold, left, right, leaf = (np.concatenate(parts) for parts in zip(*levels))
+    return EnsembleLearner(feature, threshold, left, right, leaf, len(levels) - 1, config, train.k, train.d, seed)
 
 
 def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
     """All member predictions for a batch: a point-major (n, M, K) array, so a reduction
-    over one input's members adds in the same order as for one ``SecondOrderSample``."""
+    over one input's members adds in the same order as for one ``SecondOrderSample``.
+
+    Every (input, tree) pair descends one level per step, all at once; a
+    leaf routes to itself (its feature -1 reads an arbitrary column).
+    """
     if x.ndim != 2 or x.shape[1] != learner.d:
         raise DimensionMismatch(f"inputs must be (n, {learner.d})")
-    out = np.empty((x.shape[0], learner.n_trees, learner.k), dtype=np.float64)
-    for j, tree in enumerate(learner.trees):
-        _tree_predict(tree, x, out[:, j, :])
-    return out
+    node = np.broadcast_to(np.arange(learner.n_trees), (x.shape[0], learner.n_trees))
+    point = np.arange(x.shape[0])[:, None]
+    for _ in range(learner.depth):
+        go_left = x[point, learner.feature[node]] <= learner.threshold[node]
+        node = np.where(go_left, learner.left[node], learner.right[node])
+    return learner.leaf[node]
 
 
 def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
@@ -429,9 +465,10 @@ def acquire(
 ) -> np.ndarray:
     """Indices (into the pool) to label next, sorted ascending.
 
-    ``pool`` is the (n, M, K) array from :func:`predict_pool`.  Uncertainty
-    strategies take the ``batch`` largest component values with ties
-    resolved toward the smallest index; random draws uniformly without
+    Uncertainty strategies take the (n, M, K) array from :func:`predict_pool`
+    and pick the ``batch`` largest component values, ties resolved toward
+    the smallest index.  Random acquisition reads only ``len(pool)``, so
+    any sequence of the n pool points will do; it draws uniformly without
     replacement from ``rng``.
     """
     n = len(pool)
@@ -526,7 +563,9 @@ def run_active_learning(
         losses.append(ensemble_zero_one_loss(learner, data.features[test], data.labels[test]))
         if r == rounds:
             break
-        picked = acquire(predict_pool(learner, data.features[pool_left]), strategy, batch, np.random.default_rng([seed, r, 1]))
+        pool_x = data.features[pool_left]
+        beliefs = pool_x if strategy.kind == "random" else predict_pool(learner, pool_x)
+        picked = acquire(beliefs, strategy, batch, np.random.default_rng([seed, r, 1]))
         labeled = np.sort(np.concatenate([labeled, pool_left[picked]]))
         pool_left = np.delete(pool_left, picked)
     return ActiveLearningTrace(np.array(counts), np.array(losses), strategy, seed)

@@ -6,6 +6,7 @@ from uqscore.active import (
     ActiveLearningTrace,
     LearnerConfig,
     TabularDataset,
+    _member_stack,
     acquire,
     ensemble_zero_one_loss,
     fit,
@@ -22,7 +23,7 @@ from uqscore.errors import (
     EmptyTrain,
     SplitOverlap,
 )
-from uqscore.measures import COMPONENTS, ScoringRule, SecondOrderSample, decompose
+from uqscore.measures import COMPONENTS, ScoringRule, SecondOrderSample, _build_beliefs, decompose
 from uqscore.verify import random_belief
 
 from conftest import RULES
@@ -226,6 +227,135 @@ class TestFitAndPredict:
         assert triple.total == pytest.approx(0.6108643020548936, abs=1e-9)
         assert triple.aleatoric == pytest.approx(0.5091150769756967, abs=1e-9)
         assert triple.epistemic == pytest.approx(0.10174922507919693, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Reference learner: one recursively grown tree of nested nodes per bootstrap
+# draw, split by split.  The flat ensemble must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class RefNode:
+    def __init__(self, feature=None, threshold=None, left=None, right=None, dist=None):
+        self.feature, self.threshold, self.left, self.right, self.dist = feature, threshold, left, right, dist
+
+
+def ref_best_split(x, onehot, min_leaf):
+    """Best (weighted Gini, feature, threshold) of one node's rows, or None."""
+    n, d = x.shape
+    best = None
+    for f in range(d):
+        vals = x[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        counts = np.cumsum(onehot[order], axis=0)
+        total = counts[-1]
+        left_n = np.arange(1, n, dtype=np.float64)
+        right_n = n - left_n
+        cl = counts[:-1]
+        cr = total[None, :] - cl
+        gini_l = 1.0 - np.square(cl / left_n[:, None]).sum(axis=1)
+        gini_r = 1.0 - np.square(cr / right_n[:, None]).sum(axis=1)
+        cost = (left_n * gini_l + right_n * gini_r) / n
+        valid = (sv[:-1] < sv[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        cost = np.where(valid, cost, np.inf)
+        i = int(np.argmin(cost))
+        if best is None or cost[i] < best[0]:
+            thr = (sv[i] + sv[i + 1]) / 2.0
+            if thr >= sv[i + 1]:
+                thr = sv[i]
+            best = (float(cost[i]), f, float(thr))
+    return best
+
+
+def ref_grow(x, y0, k, depth, cfg):
+    n = y0.shape[0]
+    counts = np.bincount(y0, minlength=k)
+    if depth >= cfg.depth_cap or counts.max() == n or n < 2 * cfg.min_leaf:
+        return RefNode(dist=(counts + cfg.alpha) / (n + k * cfg.alpha))
+    best = ref_best_split(x, np.eye(k)[y0], cfg.min_leaf)
+    if best is None:
+        return RefNode(dist=(counts + cfg.alpha) / (n + k * cfg.alpha))
+    _, f, thr = best
+    mask = x[:, f] <= thr
+    return RefNode(f, thr, ref_grow(x[mask], y0[mask], k, depth + 1, cfg),
+                   ref_grow(x[~mask], y0[~mask], k, depth + 1, cfg))
+
+
+def ref_fit(cfg, train, seed):
+    """Reference trees on the bootstrap draws ``fit`` makes: one child stream per tree, in tree order."""
+    y0 = train.labels - 1
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(cfg.n_trees):
+        idx = np.random.default_rng(child).integers(0, train.n, size=train.n)
+        trees.append(ref_grow(train.features[idx], y0[idx], train.k, 0, cfg))
+    return trees
+
+
+def ref_predict(trees, x, k):
+    out = np.empty((x.shape[0], len(trees), k))
+    for j, root in enumerate(trees):
+        stack = [(root, np.arange(x.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if node.feature is None:
+                out[idx, j] = node.dist
+                continue
+            mask = x[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[mask]))
+            stack.append((node.right, idx[~mask]))
+    return out
+
+
+def count_nodes(node):
+    """Nodes reachable through ``left``/``right`` (None at a leaf)."""
+    return 1 if node.left is None else 1 + count_nodes(node.left) + count_nodes(node.right)
+
+
+def fuzz_case(case):
+    """Labels, tied features, a probe set and a config, all drawn from ``case``."""
+    rng = np.random.default_rng(case)
+    k, d, n = int(rng.integers(2, 13)), int(rng.integers(1, 4)), int(rng.integers(1, 150))
+    decimals = int(rng.integers(0, 3))  # coarse rounding makes many ties
+    features = np.round(rng.normal(size=(n, d)) * 2.0, decimals)
+    if case % 3 == 0:  # neighbouring floats: some midpoints round up, so thresholds get nudged onto values
+        features = np.where(rng.random((n, d)) < 0.5, np.nextafter(features, np.inf), features)
+    labels = rng.integers(1, k + 1, size=n)
+    if case % 5 == 0:  # mostly one class, so pure nodes stop early
+        labels = np.where(rng.random(n) < 0.9, 1, labels)
+    probe = np.concatenate([features, np.round(rng.normal(size=(40, d)) * 2.5, decimals + 1)])
+    cfg = LearnerConfig(
+        n_trees=int(rng.integers(2, 12)),
+        depth_cap=0 if case % 11 == 0 else int(rng.integers(1, 8)),
+        min_leaf=int(rng.integers(1, 4)),
+        alpha=float(rng.choice([0.0, 0.5, 1.0])),
+    )
+    return TabularDataset(features, labels, k), probe, cfg
+
+
+class TestFlatEnsembleOracle:
+    @pytest.mark.parametrize("block", range(10))
+    def test_matches_recursive_trees(self, block):
+        for case in range(block * 31, (block + 1) * 31):
+            train, probe, cfg = fuzz_case(case)
+            learner = fit(cfg, train, seed=case)
+            trees = ref_fit(cfg, train, case)
+            want = ref_predict(trees, probe, train.k)
+            assert np.array_equal(_member_stack(learner, probe), want), case
+            _build_beliefs(want)
+            assert np.array_equal(predict_pool(learner, probe), want), case
+            nodes = [count_nodes(root) for root in trees]
+            assert learner.feature.size == sum(nodes), case
+            assert [count_nodes(root) for root in learner.trees] == nodes, case
+
+    def test_trees_are_views_of_the_flat_model(self):
+        data = make_blobs(3, 20, d=2, spread=0.5, centers_seed=2, noise_seed=3)
+        learner = fit(LearnerConfig(n_trees=4, depth_cap=3), data, seed=1)
+        assert learner.trees is learner.trees and len(learner.trees) == 4
+        want = ref_predict(learner.trees, data.features, data.k)
+        assert np.array_equal(_member_stack(learner, data.features), want)
 
 
 def pool_of(*beliefs):

@@ -6,7 +6,8 @@ wrapper functions while a traced pass runs, and it takes ``len()`` of what
 ``predict_pool`` returns.  Code that uses one of those names as a type
 (``isinstance``, a classmethod) works untraced and fails only when traced.
 Every command must therefore give the same exit code and the same output
-bytes with and without the tracer.
+bytes with and without the tracer.  ``bench/worker.py`` also counts the
+nodes of each fitted learner by walking the roots in ``learner.trees``.
 """
 
 import importlib.util
@@ -16,17 +17,22 @@ from pathlib import Path
 
 import numpy as np
 
+from uqscore.active import LearnerConfig, fit, make_blobs
 from uqscore.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks the module up
+    sys.modules[spec.name] = module  # a dataclass looks its module up
     spec.loader.exec_module(module)
-    return module.Tracer
+    return module
+
+
+def load_tracer():
+    return load_bench("tracing").Tracer
 
 
 def write_records(path, rng, n, k, label=True):
@@ -77,3 +83,23 @@ def test_traced_commands_match_untraced(tmp_path, capsys):
             "active.predict_pool", "active.acquire", "cli.active"} <= spans
     pool_sizes = [span.payload for span in tracer.spans if span.name == "active.predict_pool"]
     assert pool_sizes and all(isinstance(size, int) and size > 0 for size in pool_sizes)
+
+
+def test_worker_counts_every_node_of_a_fitted_learner():
+    # the traced benchmark sums bench/worker.py's _count_nodes over the
+    # roots in learner.trees; they must reach every node of the model
+    count_nodes = load_bench("worker")._count_nodes
+    data = make_blobs(3, 25, d=2, spread=0.6, centers_seed=1, noise_seed=2)
+    for cfg in (LearnerConfig(n_trees=5, depth_cap=4), LearnerConfig(n_trees=3, depth_cap=0)):
+        learner = fit(cfg, data, seed=3)
+        assert len(learner.trees) == cfg.n_trees
+        assert sum(count_nodes(tree) for tree in learner.trees) == learner.feature.size
+
+
+def test_traced_active_run_keeps_fitted_trees(tmp_path):
+    Tracer = load_tracer()
+    tracer = Tracer()
+    with tracer:
+        assert main(commands(tmp_path)["active"] + ["--out-dir", str(tmp_path / "out")]) == 0
+    fits = [span.payload for span in tracer.spans if span.name == "active.fit"]
+    assert fits and all(learner.trees and learner.feature.size for learner in fits)
