@@ -28,7 +28,8 @@ from .errors import (
     EmptyTrain,
     SplitOverlap,
 )
-from .measures import COMPONENTS, ScoringRule, _build_beliefs, _check_triples, _decompose_arrays, check_component
+from .measures import COMPONENTS, ScoringRule, check_component
+from .measures import _build_beliefs, _check_simplex_rows, _check_triples, _decompose_arrays
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
 
 __all__ = [
@@ -246,6 +247,7 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
         seg = 2 * (np.cumsum(split) - 1)[sg] + ~(x[rows, best_f[sg]] <= best_thr[sg])
         s = 2 * node.size
     feature, threshold, left, right, leaf = (np.concatenate(parts) for parts in zip(*levels))
+    _check_simplex_rows(leaf)  # once per fit: predict_pool only gathers copies of these rows
     return EnsembleLearner(feature, threshold, left, right, leaf, len(levels) - 1, config, train.k, train.d, seed)
 
 
@@ -269,11 +271,11 @@ def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
 def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
     """Per-tree leaf distributions of every row of ``x``: a read-only (n, M, K) array.
 
-    Row i is the belief about input i, members in tree order, checked and
-    clipped exactly as ``SecondOrderSample(row).matrix`` would be.
+    Row i is the belief about input i, members in tree order: copies of
+    leaf rows :func:`fit` checked, clipped as ``SecondOrderSample(row)`` would.
     """
     pool = _member_stack(learner, np.asarray(x, dtype=np.float64))
-    _build_beliefs(pool)
+    _build_beliefs(pool, check_members=False)
     return pool
 
 

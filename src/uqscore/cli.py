@@ -28,7 +28,8 @@ import numpy as np
 from . import active as al
 from .benchmarks import gap_problem
 from .errors import BadConfig, EmptyInput, Malformed, SimplexViolation, UqscoreError
-from .measures import COMPONENTS, ScoringRule, check_component, decompose
+from .measures import COMPONENTS, ScoringRule, _decompose_samples, check_component
+from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 from .ood import run_ood
 from .records import parse_predictions, require_labels, uniform_class_count
 from .selective import run_selective_prediction
@@ -179,16 +180,16 @@ def _load_records(cfg: RunConfig, path: Path):
 def cmd_decompose(cfg: RunConfig) -> int:
     records = _load_records(cfg, cfg.input)
     rules = cfg.rules or list(ScoringRule)
+    triples = _decompose_samples(rules, [rec.sample for rec in records]).transpose(2, 0, 1).tolist()
     out_path = cfg.out_dir / "decompose.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            for rule in rules:
-                triple = decompose(rule, rec.sample)
+        for rec, rec_triples in zip(records, triples):
+            for rule, (total, aleatoric, epistemic) in zip(rules, rec_triples):
                 fh.write(
                     f'{{"id": {json.dumps(rec.id)}, "rule": "{rule}", '
-                    f'"total": {_fmt_real(triple.total)}, '
-                    f'"aleatoric": {_fmt_real(triple.aleatoric)}, '
-                    f'"epistemic": {_fmt_real(triple.epistemic)}}}\n'
+                    f'"total": {_fmt_real(total)}, '
+                    f'"aleatoric": {_fmt_real(aleatoric)}, '
+                    f'"epistemic": {_fmt_real(epistemic)}}}\n'
                 )
     print(f"wrote {len(records) * len(rules)} lines to {out_path}")
     return 0

@@ -25,6 +25,10 @@ class ZeroMass(SimplexError):
     """Renormalization was requested but the entries sum to zero or less."""
 
 
+class InconsistentDecomposition(UqscoreError, ValueError):
+    """An uncertainty triple is not additive or has a negative component."""
+
+
 class LabelOutOfRange(UqscoreError, ValueError):
     """A class label lies outside {1..K}."""
 

@@ -30,6 +30,7 @@ from scipy.special import rel_entr, xlogy
 from .errors import (
     BadConfig,
     DimensionMismatch,
+    InconsistentDecomposition,
     LabelOutOfRange,
     NegativeEntry,
     NotNormalized,
@@ -138,13 +139,14 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
         raise NotNormalized(f"entries sum to {sums[bad][0]!r}, not 1")
 
 
-def _build_beliefs(members: np.ndarray) -> np.ndarray:
+def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarray:
     """Check, clip, average and freeze (..., M, K) member rows in place; returns their checked (..., K) means.
 
-    The one belief build, for :class:`SecondOrderSample` and the active-learning pool.
+    The one belief build, for :class:`SecondOrderSample`, parsed files and the active-learning pool.
     """
     k = members.shape[-1]
-    _check_simplex_rows(members.reshape(math.prod(members.shape[:-1]), k))
+    if check_members:
+        _check_simplex_rows(members.reshape(math.prod(members.shape[:-1]), k))
     np.clip(members, 0.0, 1.0, out=members)  # float-noise entries within tolerance
     means = members.mean(axis=-2)
     # Subnormal member entries can average to exactly zero; drop such
@@ -235,6 +237,37 @@ class SecondOrderSample:
         return f"SecondOrderSample(M={self.m}, K={self.k})"
 
 
+#: Most values stacked into one (n, M, K) chunk by the batched paths, which bounds their copies.
+_CHUNK_VALUES = 1 << 15
+
+
+def _shape_chunks(shapes: Sequence[tuple]) -> list[list[int]]:
+    """Indices of the items of each (M, K) shape, in chunks of at most :data:`_CHUNK_VALUES` values or one item."""
+    groups: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    chunks = []
+    for shape, items in groups.items():
+        step = max(1, _CHUNK_VALUES // max(1, math.prod(shape)))  # a K = 0 shape fails its simplex check later
+        chunks += [items[j : j + step] for j in range(0, len(items), step)]
+    return chunks
+
+
+def _build_samples(matrices: Sequence[np.ndarray], renormalize: bool) -> list[SecondOrderSample]:
+    """Samples of float64 (M, K) arrays, in order: one prepare and belief build per (M, K) chunk.
+
+    Each sample's matrix and mean are read-only views into its chunk.
+    """
+    samples = [None] * len(matrices)
+    for chunk in _shape_chunks([matrix.shape for matrix in matrices]):
+        n, m, k = len(chunk), *matrices[chunk[0]].shape
+        members = _prepare_rows(np.concatenate([matrices[i] for i in chunk]), renormalize).reshape(n, m, k)
+        for i, matrix, mean in zip(chunk, members, _build_beliefs(members)):
+            sample = samples[i] = object.__new__(SecondOrderSample)
+            sample.matrix, sample.mean = matrix, CategoricalDistribution._of_checked(mean)
+    return samples
+
+
 @dataclass(frozen=True)
 class UncertaintyTriple:
     """Total, aleatoric, and epistemic uncertainty under one scoring rule.
@@ -258,7 +291,7 @@ class UncertaintyTriple:
 
 
 def _check_triples(total, aleatoric, epistemic) -> None:
-    """Raise ValueError at the first of the (float or array) triples that is not additive or not proper."""
+    """Raise :class:`InconsistentDecomposition` at the first (float or array) triple not additive or not proper."""
     # inf - inf is a silent nan for floats but warns for arrays; entering errstate costs microseconds
     with np.errstate(invalid="ignore") if isinstance(total, np.ndarray) else contextlib.nullcontext():
         ok = (abs(total - aleatoric - epistemic) <= 1e-9) & (epistemic >= -1e-12)
@@ -271,13 +304,13 @@ def _check_triples(total, aleatoric, epistemic) -> None:
         if math.isinf(t) or math.isinf(a) or math.isinf(e):
             # extended-real additivity: an infinity must appear on both sides
             if math.isinf(t) != (math.isinf(a) or math.isinf(e)):
-                raise ValueError(f"decomposition not additive: {t!r} != {a!r} + {e!r}")
+                raise InconsistentDecomposition(f"decomposition not additive: {t!r} != {a!r} + {e!r}")
         elif abs(t - a - e) > 1e-9:
-            raise ValueError(f"decomposition not additive: {t!r} != {a!r} + {e!r}")
+            raise InconsistentDecomposition(f"decomposition not additive: {t!r} != {a!r} + {e!r}")
         if e < -1e-12:
-            raise ValueError(f"negative epistemic uncertainty {e!r} violates properness")
+            raise InconsistentDecomposition(f"negative epistemic uncertainty {e!r} violates properness")
         if t < -1e-12 or a < -1e-12:
-            raise ValueError("uncertainty components must be nonnegative")
+            raise InconsistentDecomposition("uncertainty components must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +497,22 @@ def decompose(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple
     """
     total, aleatoric, epistemic = _decompose_arrays(rule, sample.matrix, sample.mean.probs)
     return UncertaintyTriple(float(total), float(aleatoric), float(epistemic), rule)
+
+
+def _decompose_samples(rules: Sequence[ScoringRule], samples: Sequence[SecondOrderSample]) -> np.ndarray:
+    """Per-sample :func:`decompose` under each rule, bit for bit, as an (R, 3, N) array.
+
+    One kernel pass per (M, K) chunk and rule, then one check, which raises
+    as per-sample calls would: sample by sample, then rule by rule.
+    """
+    out = np.empty((len(rules), 3, len(samples)))
+    for chunk in _shape_chunks([s.matrix.shape for s in samples]):
+        members = np.stack([samples[i].matrix for i in chunk])
+        means = np.stack([samples[i].mean.probs for i in chunk])
+        for r, rule in enumerate(rules):
+            out[r][:, chunk] = _decompose_arrays(rule, members, means)
+    _check_triples(*out.transpose(1, 2, 0).reshape(3, -1))
+    return out
 
 
 def generic_triple(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySide, NonFiniteScore
-from .measures import ScoringRule, SecondOrderSample, check_component, decompose
+from .measures import COMPONENTS, ScoringRule, SecondOrderSample, _decompose_samples, check_component
+from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = ["ScoreSplit", "AurocResult", "auroc", "auroc_pairwise", "run_ood"]
 
@@ -96,11 +97,13 @@ def run_ood(
     rule: ScoringRule,
     component: str = "epistemic",
 ) -> AurocResult:
-    """Decompose both sample lists and score their separability."""
+    """Decompose both sample lists and score their separability.
+
+    One batched pass decomposes both lists, per-sample ``decompose`` bit for bit.
+    """
     check_component(component)
     ks = {s.k for s in id_samples} | {s.k for s in ood_samples}
     if len(ks) > 1:
         raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
-    id_scores = np.array([decompose(rule, s).component(component) for s in id_samples])
-    ood_scores = np.array([decompose(rule, s).component(component) for s in ood_samples])
-    return auroc(ScoreSplit(id_scores, ood_scores), criterion=f"{rule}:{component}")
+    scores = _decompose_samples([rule], list(id_samples) + list(ood_samples))[0, COMPONENTS.index(component)]
+    return auroc(ScoreSplit(scores[: len(id_samples)], scores[len(id_samples) :]), criterion=f"{rule}:{component}")

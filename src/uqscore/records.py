@@ -8,16 +8,17 @@ themselves.  Serialization uses Python's shortest-round-trip float
 representation, so ``parse(write(records))`` reproduces finite values
 bit for bit.
 
-Each record is checked once: here its JSON shape and entry types (bools
-are not numbers), then one (M, K) array in :class:`SecondOrderSample`,
-then its label in :class:`PredictionRecord`.  Only a failed simplex check
-re-checks the rows one by one, to name the first bad row.
+Each record is checked once: its JSON shape and entry types (bools are
+not numbers) as its line is read, its rows in a chunk of equal (M, K)
+shapes, then its label.  A fault re-reads the file record by record, so
+the first in file order is raised, naming its first bad row.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +31,8 @@ from .errors import (
     SimplexError,
     SimplexViolation,
 )
-from .measures import SecondOrderSample, _prepare_rows, validate_simplex
+from .measures import _build_samples, validate_simplex
+from .measures import SecondOrderSample  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = ["PredictionRecord", "parse_predictions", "write_predictions"]
 
@@ -52,8 +54,10 @@ class PredictionRecord:
 
 
 def _raise_first_row_fault(line_no: int, rows: list, renormalize: bool) -> None:
-    """Re-check ``rows`` one at a time and raise for the first that fails."""
+    """Re-check decoded ``rows`` one at a time and raise for the first that fails."""
     for i, row in enumerate(rows, start=1):
+        if not set(map(type, row)) <= {int, float}:  # json.loads also yields bool, str, None, list and dict
+            raise Malformed(line_no, f"row {i} contains non-numeric entries")
         try:
             validate_simplex(row, renormalize=renormalize)
         except SimplexError as exc:
@@ -62,35 +66,40 @@ def _raise_first_row_fault(line_no: int, rows: list, renormalize: bool) -> None:
             raise Malformed(line_no, f"row {i} holds an integer too large for a float") from None
 
 
-def _parse_line(line_no: int, payload, renormalize: bool) -> PredictionRecord:
+def _parse_line(line_no: int, payload, renormalize: bool) -> tuple:
+    """(line, id, float64 (M, K) rows, label) of a decoded line whose shape and types pass."""
     if not isinstance(payload, dict):
         raise Malformed(line_no, "expected a JSON object")
-    unknown = set(payload) - {"id", "samples", "label"}
-    if unknown:
-        raise Malformed(line_no, f"unknown keys {sorted(unknown)}")
+    if not payload.keys() <= {"id", "samples", "label"}:
+        raise Malformed(line_no, f"unknown keys {sorted(set(payload) - {'id', 'samples', 'label'})}")
     rid = payload.get("id")
     if not isinstance(rid, str):
         raise Malformed(line_no, "missing or non-string id")
     rows = payload.get("samples")
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+    if not isinstance(rows, list) or not rows or set(map(type, rows)) != {list}:
         raise Malformed(line_no, "samples must be a non-empty list of rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len(set(map(len, rows))) != 1:
         raise Malformed(line_no, "samples rows have unequal lengths")
-    for i, row in enumerate(rows, start=1):
-        if not set(map(type, row)) <= {int, float}:  # json.loads also yields bool, str, None, list, dict
-            _raise_first_row_fault(line_no, rows[: i - 1], renormalize)
-            raise Malformed(line_no, f"row {i} contains non-numeric entries")
+    m, k = len(rows), len(rows[0])
     try:
-        sample = SecondOrderSample(_prepare_rows(np.array(rows, dtype=np.float64), renormalize))
-    except (SimplexError, OverflowError) as exc:
-        _raise_first_row_fault(line_no, rows, renormalize)
-        # every row passes alone, so the check that failed was the one on the mean
-        raise Malformed(line_no, f"the members' mean is off the simplex: {exc}") from exc
-    try:
-        return PredictionRecord(rid, sample, payload.get("label"))
-    except LabelOutOfRange as exc:
-        raise Malformed(line_no, str(exc)) from exc
+        if set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            matrix = np.fromiter(chain.from_iterable(rows), np.float64, m * k).reshape(m, k)
+            return line_no, rid, matrix, payload.get("label")
+    except OverflowError:  # an integer too large for a float
+        pass
+    _raise_first_row_fault(line_no, rows, renormalize)
+    raise AssertionError(f"line {line_no}: a non-numeric row that the row walk passed")
+
+
+def _build_records(lines: list[tuple], renormalize: bool) -> list[PredictionRecord]:
+    """Records of checked lines, their beliefs built once per chunk of equal (M, K) shapes."""
+    records = []
+    for (line_no, rid, _, label), sample in zip(lines, _build_samples([line[2] for line in lines], renormalize)):
+        try:
+            records.append(PredictionRecord(rid, sample, label))
+        except LabelOutOfRange as exc:
+            raise Malformed(line_no, str(exc)) from exc
+    return records
 
 
 def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]:
@@ -100,10 +109,24 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
     line (and row) positions; blank lines are skipped.  Bytes that are not
     UTF-8 are read as lone surrogates, so the line holding them is named.
     """
-    records = []
+    try:
+        return _build_records(list(_read_lines(path, renormalize)), renormalize)
+    except (Malformed, SimplexViolation, SimplexError) as exc:
+        fault = exc
+    for line in _read_lines(path, renormalize):  # one record at a time: the first fault in file order raises
+        try:
+            _build_records([line], renormalize)
+        except SimplexError as exc:
+            _raise_first_row_fault(line[0], line[2].tolist(), renormalize)  # every row passes alone: the mean failed
+            raise Malformed(line[0], f"the members' mean is off the simplex: {exc}") from exc
+    raise fault
+
+
+def _read_lines(path, renormalize: bool):
+    """Yield each non-blank line of ``path`` decoded and checked by :func:`_parse_line`."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             if not line.isascii():
                 try:
@@ -115,8 +138,7 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
                 payload = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
                 raise Malformed(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-            records.append(_parse_line(line_no, payload, renormalize))
-    return records
+            yield _parse_line(line_no, payload, renormalize)
 
 
 def write_predictions(records: Iterable[PredictionRecord], path) -> None:

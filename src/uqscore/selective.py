@@ -18,13 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, TooLarge
-from .measures import (
-    ScoringRule,
-    SecondOrderSample,
-    check_component,
-    decompose,
-    loss,
-)
+from .measures import COMPONENTS, ScoringRule, SecondOrderSample, _decompose_samples, check_component, loss
+from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = [
     "Ordering",
@@ -94,6 +89,7 @@ def order_by_uncertainty(
     Ties keep the original instance order.  The retained prefix of the
     returned permutation is what a selective predictor would answer on;
     call :meth:`Ordering.reversed` for the most-uncertain-first reading.
+    One batched pass gives per-sample ``decompose`` values bit for bit.
     """
     check_component(component)
     if len(samples) == 0:
@@ -101,7 +97,7 @@ def order_by_uncertainty(
     ks = {s.k for s in samples}
     if len(ks) != 1:
         raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
-    values = np.array([decompose(rule, s).component(component) for s in samples])
+    values = _decompose_samples([rule], samples)[0, COMPONENTS.index(component)]
     perm = np.argsort(values, kind="stable")
     return Ordering(perm, criterion=f"{rule}:{component}")
 

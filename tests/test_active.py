@@ -179,6 +179,24 @@ class TestFitAndPredict:
             assert np.array_equal(row, sample.matrix)
             assert np.array_equal(mean, sample.mean.probs)
 
+    def test_leaf_rows_are_checked_once_per_fit(self, rng, monkeypatch):
+        # predict_pool gathers copies of the leaf rows, so only fit checks
+        # them; the pool's means are still checked
+        import uqscore.active as active_module
+        import uqscore.measures as measures_module
+
+        calls = []
+        check = measures_module._check_simplex_rows
+        spy = lambda rows: calls.append(rows.shape) or check(rows)  # noqa: E731
+        monkeypatch.setattr(active_module, "_check_simplex_rows", spy)
+        monkeypatch.setattr(measures_module, "_check_simplex_rows", spy)
+        data = make_blobs(3, 30, d=2, spread=0.5, centers_seed=3, noise_seed=4)
+        learner = fit(LearnerConfig(n_trees=9, depth_cap=4), data, seed=2)
+        assert calls == [learner.leaf.shape]
+        calls.clear()
+        predict_pool(learner, rng.normal(size=(40, 2)))
+        assert calls == [(40, 3)]
+
     def test_pool_rows_match_member_order(self):
         # member j of row i is tree j's leaf distribution for input i
         data = make_blobs(2, 20, d=2, spread=0.6, centers_seed=1, noise_seed=2)

@@ -19,6 +19,7 @@ import numpy as np
 
 from uqscore.active import LearnerConfig, fit, make_blobs
 from uqscore.cli import main
+from uqscore.records import write_predictions
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -79,8 +80,15 @@ def test_traced_commands_match_untraced(tmp_path, capsys):
             assert main(argv + ["--out-dir", str(traced)]) == 0, capsys.readouterr().err
         assert outputs(plain) and outputs(plain) == outputs(traced)
     spans = {span.name for span in tracer.spans}
-    assert {"records.parse", "measures.belief_build", "measures.decompose.log", "active.fit",
+    assert {"records.parse", "selective.order", "ood.run", "active.fit",
             "active.predict_pool", "active.acquire", "cli.active"} <= spans
+    # bench/worker.py counts each parsed record's values and writes the records back out
+    parsed = [span.payload for span in tracer.spans if span.name == "records.parse"]
+    assert len(parsed) == 4
+    for i, (path, records) in enumerate(parsed):
+        assert records and all(rec.sample.m * rec.sample.k > 0 for rec in records)
+        write_predictions(records, tmp_path / f"written-{i}.jsonl")
+        assert (tmp_path / f"written-{i}.jsonl").read_bytes() == Path(path).read_bytes()
     pool_sizes = [span.payload for span in tracer.spans if span.name == "active.predict_pool"]
     assert pool_sizes and all(isinstance(size, int) and size > 0 for size in pool_sizes)
 

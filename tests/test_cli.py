@@ -335,6 +335,16 @@ class TestCliPlumbing:
         assert main(["decompose", "--input", str(pred_file), "--config", str(bad), "--out-dir", str(tmp_path)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["decompose", "selective", "ood"])
+    def test_non_additive_kernel_exits_3_without_traceback(self, tmp_path, pred_file, capsys, monkeypatch, task):
+        broken = dict(measures._ENTROPY_KERNELS)
+        broken[ScoringRule.LOG] = lambda t: 1.0 - np.square(t).sum(axis=-1) + 0.5 * (t[..., 0] > 0.85)
+        monkeypatch.setattr(measures, "_ENTROPY_KERNELS", broken)
+        argv = [task, "--input", str(pred_file), "--rule", "log", "--out-dir", str(tmp_path / "out")]
+        assert main(argv + (["--input-ood", str(pred_file)] if task == "ood" else [])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: decomposition not additive: ") and "Traceback" not in err
+
     def test_mean_drift_names_the_line(self, tmp_path, capsys):
         # each row passes alone; the clipped copy's mean sums past the tolerance
         path = tmp_path / "p.jsonl"

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import uqscore.measures as measures
 from uqscore.errors import (
     DimensionMismatch,
+    InconsistentDecomposition,
     LabelOutOfRange,
     NegativeEntry,
     NotNormalized,
     SimplexError,
+    UqscoreError,
     ZeroMass,
 )
 from uqscore.measures import (
@@ -20,6 +23,7 @@ from uqscore.measures import (
     UncertaintyTriple,
     _check_triples,
     _decompose_arrays,
+    _decompose_samples,
     _loss_table,
     decompose,
     divergence,
@@ -358,6 +362,57 @@ class TestDecomposeArrays:
             _check_triples(*parts)
         assert str(batched.value) == str(scalar.value)
         _check_triples(*np.array(fine).T)
+
+
+def mixed_samples(rng):
+    """Beliefs of many (M, K) shapes in shuffled order: M = 1, mixed M under one K, and K = 1000 over several chunks."""
+    shapes = [(1, 3)] * 5 + [(m, 4) for m in range(1, 10)] * 2 + [(10, 1000)] * 7 + [(1, 1000)] * 2 + [(10, 10)] * 400
+    order = rng.permutation(len(shapes))
+    return [random_belief(rng, k=shapes[i][1], m=shapes[i][0]) for i in order]
+
+
+class TestDecomposeSamples:
+    def test_equals_per_object_decompose(self, rng):
+        samples = mixed_samples(rng)
+        assert len(measures._shape_chunks([s.matrix.shape for s in samples])) == 1 + 9 + 3 + 1 + 2
+        rules = [SPHERICAL, LOG, ZERO_ONE, BRIER]
+        batched = _decompose_samples(rules, samples)
+        assert batched.shape == (4, 3, len(samples))
+        for r, rule in enumerate(rules):
+            for i, sample in enumerate(samples):
+                triple = decompose(rule, sample)
+                assert tuple(batched[r, :, i]) == (triple.total, triple.aleatoric, triple.epistemic)
+
+    def test_chunks_keep_each_shape_under_the_value_cap(self, rng):
+        shapes = [(10, 1000)] * 7 + [(40, 1000)] * 2 + [(2, 3)] * 6000
+        chunks = measures._shape_chunks(shapes)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(shapes)))
+        for chunk in chunks:
+            assert len({shapes[i] for i in chunk}) == 1 and chunk == sorted(chunk)
+            m, k = shapes[chunk[0]]
+            assert len(chunk) == 1 or len(chunk) * m * k <= measures._CHUNK_VALUES
+
+    def test_raises_the_first_bad_sample_in_record_order(self, rng, monkeypatch):
+        samples = mixed_samples(rng)[:120]
+        entropy_log, entropy_brier = measures._ENTROPY_KERNELS[LOG], measures._ENTROPY_KERNELS[BRIER]
+        # planted faults: each entropy is off for beliefs that favour one class
+        monkeypatch.setitem(measures._ENTROPY_KERNELS, LOG, lambda t: entropy_log(t) + 0.25 * (t[..., 1] > 0.7))
+        monkeypatch.setitem(measures._ENTROPY_KERNELS, BRIER, lambda t: entropy_brier(t) + 0.25 * (t[..., 0] > 0.6))
+        rules = [LOG, BRIER]
+        faults = {}
+        for i, sample in enumerate(samples):
+            for rule in rules:
+                try:
+                    decompose(rule, sample)
+                except ValueError as exc:
+                    faults.setdefault(rule, (i, str(exc)))
+        # the per-object order is sample by sample, then rule by rule; here it is not the rule-major order
+        assert faults[BRIER][0] < faults[LOG][0]
+        want = faults[BRIER][1]
+        with pytest.raises(InconsistentDecomposition) as err:
+            _decompose_samples(rules, samples)
+        assert str(err.value) == want
+        assert isinstance(err.value, UqscoreError) and isinstance(err.value, ValueError)
 
 
 class TestUncertaintyTriple:

@@ -328,7 +328,8 @@ class TestParseOracle:
             want = np.clip(row, 0.0, None)
             assert got.tobytes() == np.clip(want / want.sum(), 0.0, 1.0).tobytes()
 
-    def test_valid_file_checks_each_record_twice_and_never_row_by_row(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_checks(monkeypatch):
         def no_row_walk(*args, **kwargs):
             raise AssertionError("a valid record was re-checked row by row")
 
@@ -336,11 +337,67 @@ class TestParseOracle:
         check = measures._check_simplex_rows
         monkeypatch.setattr(records_module, "validate_simplex", no_row_walk)
         monkeypatch.setattr(measures, "_check_simplex_rows", lambda rows: calls.append(rows.shape) or check(rows))
-        path = tmp_path / "p.jsonl"
+        return calls
+
+    def test_valid_file_checks_each_shape_chunk_twice_and_never_row_by_row(self, tmp_path, monkeypatch):
+        calls = self.count_checks(monkeypatch)
         rng = np.random.default_rng(3)
-        fuzz_file(rng, path, renormalize=True, with_faults=False)
-        n = len(parse_predictions(path, renormalize=True))
-        assert len(calls) == 2 * n  # the (M, K) matrix, then its mean
+        for trial in range(10):
+            path = tmp_path / f"p{trial}.jsonl"
+            fuzz_file(rng, path, renormalize=True, with_faults=False)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n".join(lines * 3) + "\n", encoding="utf-8")  # repeated shapes share a chunk
+            calls.clear()
+            shapes = [rec.sample.matrix.shape for rec in parse_predictions(path, renormalize=True)]
+            per_chunk = {shape: max(1, measures._CHUNK_VALUES // (shape[0] * shape[1])) for shape in shapes}
+            chunks = sum(-(-shapes.count(shape) // size) for shape, size in per_chunk.items())
+            assert len(calls) == 2 * chunks  # the stacked (n * M, K) members, then their (n, K) means
+
+    def test_one_shape_is_checked_twice_in_all(self, tmp_path, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        rng = np.random.default_rng(4)
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [json.dumps({"id": f"r{i}", "samples": rng.dirichlet(np.ones(10), 10).tolist()})
+                           for i in range(300)])
+        assert len(parse_predictions(path)) == 300
+        assert calls == [(3000, 10), (300, 10)]
+
+    def test_samples_view_their_chunk_read_only(self, tmp_path, rng):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [json.dumps({"id": f"r{i}", "samples": rng.dirichlet(np.ones(3), 4).tolist()})
+                           for i in range(5)])
+        for rec in parse_predictions(path):
+            matrix = rec.sample.matrix
+            assert matrix.flags.c_contiguous and not matrix.flags.writeable and matrix.base is not None
+            assert np.array_equal(rec.sample.mean.probs, SecondOrderSample(matrix).mean.probs)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_records_straddling_a_chunk_boundary(self, tmp_path, renormalize):
+        # 700 (10, 10) records fill three chunks; a few (2, 3) records sit between them
+        rng = np.random.default_rng([9, renormalize])
+        per_chunk = measures._CHUNK_VALUES // 100
+        lines = []
+        for i in range(700):
+            m, k = (2, 3) if i % 97 == 0 else (10, 10)
+            rows = rng.dirichlet(np.full(k, 0.5), m)
+            if renormalize:  # 32-bit model outputs, off the simplex by rounding and scale
+                rows = rows.astype(np.float32).astype(np.float64) * rng.uniform(0.5, 2.0, (m, 1))
+            lines.append(json.dumps({"id": f"r{i}", "samples": rows.tolist(), "label": 1 + i % k}))
+        path = tmp_path / "p.jsonl"
+        write_lines(path, lines)
+        want = outcome(reference_parse, path, renormalize)
+        assert not isinstance(want, tuple) and sum(m.shape == (10, 10) for _, m, _ in want) > 2 * per_chunk
+        assert same_outcome(outcome(batch_parse, path, renormalize), want)
+        big = [i for i in range(700) if i % 97]
+        for at in big[per_chunk - 1 : per_chunk + 2]:  # the last of one chunk, the first two of the next
+            bad = lines[:]
+            payload = json.loads(bad[at])
+            payload["samples"][3][0] = float("nan")  # a fault with and without --renormalize
+            bad[at] = json.dumps(payload)
+            write_lines(path, bad)
+            want = outcome(reference_parse, path, renormalize)
+            assert isinstance(want, tuple) and want[1:3] == (at + 1, 4)
+            assert outcome(batch_parse, path, renormalize) == want
 
     def test_clipped_drift_past_tolerance_is_accepted(self, tmp_path):
         # passes the 1e-9 tolerance as read; clipping the tiny negative
@@ -359,3 +416,39 @@ class TestParseOracle:
         with pytest.raises(Malformed, match="row 2 holds an integer too large") as err:
             parse_predictions(path)
         assert err.value.line == 1
+
+
+#: Faults other than a simplex fault, each in a one-row, two-class record.
+OTHER_FAULTS = {
+    "bad JSON": '{"id": "x", "samples": [[0.5, 0.5]]',
+    "label": '{"id": "x", "samples": [[0.5, 0.5]], "label": 3}',
+    "non-numeric": '{"id": "x", "samples": [[0.5, "0.5"]]}',
+    "huge integer": '{"id": "x", "samples": [[1' + "0" * 400 + ', 0]]}',
+}
+#: Simplex faults in the second row of a two-row, three-class record.
+SIMPLEX_FAULTS = {
+    "off sum": '{"id": "s", "samples": [[0.2, 0.3, 0.5], [0.5, 0.4, 0.0]]}',
+    "nan": '{"id": "s", "samples": [[0.2, 0.3, 0.5], [NaN, 0.4, 0.6]]}',
+}
+
+
+@pytest.mark.parametrize("other", list(OTHER_FAULTS))
+@pytest.mark.parametrize("simplex, renormalize", [("off sum", False), ("nan", False), ("nan", True)])
+@pytest.mark.parametrize("simplex_first", [True, False], ids=["simplex first", "simplex later"])
+def test_first_fault_in_file_order_across_shape_groups(tmp_path, other, simplex, renormalize, simplex_first):
+    good_a = json.dumps({"id": "a", "samples": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]], "label": 3})
+    good_b = json.dumps({"id": "b", "samples": [[0.5, 0.5]], "label": 1})
+    first, later = (SIMPLEX_FAULTS[simplex], OTHER_FAULTS[other])[:: 1 if simplex_first else -1]
+    path = tmp_path / "p.jsonl"
+    write_lines(path, [good_a, good_b, first, good_b, good_a, later, good_b, good_a])
+    # the per-line parse of the first faulty line alone, at the same line number
+    alone = tmp_path / "alone.jsonl"
+    write_lines(alone, ["", "", first])
+    want = outcome(batch_parse, alone, renormalize)
+    assert isinstance(want, tuple) and want[1] == 3
+    assert outcome(batch_parse, path, renormalize) == want
+    # and the later fault is the one raised once the first is mended
+    mended = good_a if simplex_first else good_b  # a good line of the faulty line's shape group
+    write_lines(path, [good_a, good_b, mended, good_b, good_a, later, good_b])
+    write_lines(alone, [""] * 5 + [later])
+    assert outcome(batch_parse, path, renormalize) == outcome(batch_parse, alone, renormalize)
