@@ -20,7 +20,7 @@ from .active import (
     predict_pool,
     _two_blobs,
 )
-from .measures import ScoringRule, SecondOrderSample
+from .measures import ScoringRule, SecondOrderSample, _samples_of
 from .ood import AurocResult, run_ood
 
 __all__ = [
@@ -65,12 +65,19 @@ def ood_trend_run(
         ]
     )
     learner = fit(OOD_LEARNER, train, seed=seed)
-    id_samples = [SecondOrderSample(row) for row in predict_pool(learner, id_features)]
-    ood_samples = [SecondOrderSample(row) for row in predict_pool(learner, ood_eval)]
+    id_samples, ood_samples = _pool_samples(learner, id_features), _pool_samples(learner, ood_eval)
     return {
         rule: run_ood(id_samples, ood_samples, rule, component)
         for rule in ScoringRule
     }
+
+
+def _pool_samples(learner, x: np.ndarray) -> list[SecondOrderSample]:
+    """Samples viewing the beliefs :func:`predict_pool` built, without a per-row copy or check."""
+    pool = predict_pool(learner, x)
+    means = pool.mean(axis=-2)  # point-major, so each equals SecondOrderSample(row).mean bit for bit
+    means.setflags(write=False)
+    return _samples_of(pool, means)
 
 
 def gap_problem(

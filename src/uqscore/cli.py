@@ -181,16 +181,16 @@ def cmd_decompose(cfg: RunConfig) -> int:
     records = _load_records(cfg, cfg.input)
     rules = cfg.rules or list(ScoringRule)
     triples = _decompose_samples(rules, [rec.sample for rec in records]).transpose(2, 0, 1).tolist()
+    rule_texts = [f', "rule": "{rule}", "total": ' for rule in rules]
     out_path = cfg.out_dir / "decompose.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
         for rec, rec_triples in zip(records, triples):
-            for rule, (total, aleatoric, epistemic) in zip(rules, rec_triples):
-                fh.write(
-                    f'{{"id": {json.dumps(rec.id)}, "rule": "{rule}", '
-                    f'"total": {_fmt_real(total)}, '
-                    f'"aleatoric": {_fmt_real(aleatoric)}, '
-                    f'"epistemic": {_fmt_real(epistemic)}}}\n'
-                )
+            id_text = '{"id": ' + json.dumps(rec.id)
+            fh.writelines(
+                f'{id_text}{rule_text}{_fmt_real(total)}, "aleatoric": {_fmt_real(aleatoric)}, '
+                f'"epistemic": {_fmt_real(epistemic)}}}\n'
+                for rule_text, (total, aleatoric, epistemic) in zip(rule_texts, rec_triples)
+            )
     print(f"wrote {len(records) * len(rules)} lines to {out_path}")
     return 0
 

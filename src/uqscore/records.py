@@ -8,6 +8,19 @@ themselves.  Serialization uses Python's shortest-round-trip float
 representation, so ``parse(write(records))`` reproduces finite values
 bit for bit.
 
+Each line is decoded by orjson, which returns the same float64 bits as
+``json.loads`` about five times faster.  ``json.loads`` decodes the line
+again, and decides its outcome, when orjson refuses it (``NaN``,
+``Infinity``, ``1e400``, integers past float range, lone-surrogate
+escapes), when the payload is not an object or its label is present but
+not an integer (orjson reads integers past 64 bits as floats), and when
+the line fails its shape or type checks (orjson accepts nesting that
+``json.loads`` refuses).  A line with more than 4 096 brackets (a record
+of M members holds M + 2) goes to ``json.loads`` alone: orjson builds
+nested lists recursively and overflows the C stack on deep enough
+nesting.  Each line therefore gives the value or the error that
+``json.loads`` would.
+
 Each record is checked once: its JSON shape and entry types (bools are
 not numbers) as its line is read, its rows in a chunk of equal (M, K)
 shapes, then its label.  A fault re-reads the file record by record, so
@@ -22,6 +35,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimensionMismatch,
@@ -123,7 +137,7 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
 
 
 def _read_lines(path, renormalize: bool):
-    """Yield each non-blank line of ``path`` decoded and checked by :func:`_parse_line`."""
+    """Yield each non-blank line of ``path`` decoded and checked by :func:`_decode_line`."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
@@ -134,11 +148,29 @@ def _read_lines(path, renormalize: bool):
                 except UnicodeEncodeError as exc:
                     byte = ord(line[exc.start]) - 0xDC00
                     raise Malformed(line_no, f"not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})") from None
-            try:
-                payload = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-                raise Malformed(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-            yield _parse_line(line_no, payload, renormalize)
+            yield _decode_line(line_no, line, renormalize)
+
+
+#: Most brackets in a line given to orjson, whose recursive build uses about 64 bytes of C stack per
+#: nesting level and crashes the process near 130 000 levels (orjson 3.8.3, 8 MB stack); a valid record
+#: nests three deep and holds M + 2 brackets.
+_ORJSON_MAX_BRACKETS = 4096
+
+
+def _decode_line(line_no: int, line: str, renormalize: bool) -> tuple:
+    """:func:`_parse_line` of ``line`` as ``json.loads`` decodes it, decoded by orjson where the two agree."""
+    if line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:
+        try:
+            payload = orjson.loads(line)
+            if type(payload) is dict and type(payload.get("label", 0)) is int:
+                return _parse_line(line_no, payload, renormalize)
+        except (orjson.JSONDecodeError, Malformed, SimplexViolation):
+            pass  # json.loads decides, and names the fault
+    try:
+        payload = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise Malformed(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+    return _parse_line(line_no, payload, renormalize)
 
 
 def write_predictions(records: Iterable[PredictionRecord], path) -> None:

@@ -148,3 +148,19 @@ class TestRunOod:
     def test_unknown_component(self):
         with pytest.raises(ValueError):
             run_ood([SecondOrderSample([[0.5, 0.5]])], [SecondOrderSample([[0.5, 0.5]])], LOG, "mutual")
+
+
+def test_trend_samples_view_the_pool_as_per_row_samples_would():
+    # ood_trend_run's samples share predict_pool's array; each must equal SecondOrderSample(row) bit for bit
+    from uqscore.active import LearnerConfig, TabularDataset, _two_blobs, fit, predict_pool
+    from uqscore.benchmarks import _pool_samples
+
+    rng = np.random.default_rng(5)
+    learner = fit(LearnerConfig(n_trees=12, depth_cap=4), TabularDataset(*_two_blobs(rng, 40, 1.1), 2), seed=5)
+    x = rng.normal(0.0, 3.0, size=(60, 2))
+    samples = _pool_samples(learner, x)
+    assert all(s.matrix.base is not None and not s.mean.probs.flags.writeable for s in samples)
+    for sample, row in zip(samples, predict_pool(learner, x)):
+        want = SecondOrderSample(row)
+        assert sample.matrix.tobytes() == want.matrix.tobytes()
+        assert sample.mean.probs.tobytes() == want.mean.probs.tobytes()

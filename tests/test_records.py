@@ -1,4 +1,7 @@
+import decimal
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,10 +187,13 @@ class TestHelpers:
 
 
 def reference_parse(path, renormalize):
-    """The per-row path: each row typed and validated on its own, then the belief built."""
+    """The per-row path: each line decoded by json.loads, each row typed and validated on its own, then the belief built."""
     out = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        payload = json.loads(line)
+        try:
+            payload = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise Malformed(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         probs = []
         for i, row in enumerate(payload["samples"], start=1):
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
@@ -196,6 +202,8 @@ def reference_parse(path, renormalize):
                 probs.append(validate_simplex(row, renormalize=renormalize).probs)
             except SimplexError as exc:
                 raise SimplexViolation(line_no, i, str(exc)) from exc
+            except OverflowError:
+                raise Malformed(line_no, f"row {i} holds an integer too large for a float") from None
         sample = SecondOrderSample(probs)
         label = payload.get("label")
         if label is not None and (not isinstance(label, int) or isinstance(label, bool)):
@@ -281,6 +289,95 @@ def fuzz_file(rng, path, renormalize, with_faults):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+#: Exact decimal arithmetic for the midpoints between adjacent doubles (a subnormal spells out in ~750 digits).
+EXACT = decimal.Context(prec=2000)
+
+
+def number_literal(rng, x):
+    """A JSON number literal near the float ``x``, in one of several spellings; zeros become other tiny values."""
+    if x == 0.0:
+        tiny = ["0", "-0", "0.0", "-0.0", "0e0", "0E-5", "-0e+00", "1e-400", "5e-324", "4.9e-324",
+                "2.4703282292062327e-324", "2.4703282292062328e-324", "2.2250738585072009e-308",
+                repr(float(rng.integers(1, 2**52)) * 5e-324), "%.17g" % (float(rng.integers(1, 2**52)) * 5e-324)]
+        return tiny[int(rng.integers(len(tiny)))]
+    form = int(rng.integers(6))
+    if form == 0:
+        return repr(x)
+    if form == 1:
+        return "%.17g" % x
+    if form == 2:  # 20-40 significant digits
+        return format(decimal.Decimal(x), f".{int(rng.integers(19, 40))}{'eE'[int(rng.integers(2))]}")
+    if form == 3:  # the exact midpoint to a neighbour, which rounds to the even one
+        mid = EXACT.divide(EXACT.add(decimal.Decimal(x), decimal.Decimal(np.nextafter(x, 2.0 * (rng.random() < 0.5)))), 2)
+        return format(mid, "feE"[int(rng.integers(3))])
+    if form == 4:  # integer mantissa, e or E, signed or zero-padded exponent
+        digits, exp = decimal.Decimal(repr(x)).as_tuple()[1:]
+        return f"{int(''.join(map(str, digits)))}{'eE'[int(rng.integers(2))]}{['', '+', '-'][np.sign(exp)]}{abs(exp):02d}"
+    return f"{x:.{int(rng.integers(12, 17))}e}"  # 13-17 significant digits, within the simplex tolerance
+
+
+def integer_literal(rng):
+    """A JSON integer up to 2^64, just past it, or far past it but within float range."""
+    form = int(rng.integers(5))
+    if form == 0:
+        return str(int(rng.integers(0, 10)))
+    if form == 1:
+        return str(uint64(rng) >> int(rng.integers(0, 64)))
+    if form == 2:
+        return str(2**64 + int(rng.integers(-2, 3)))
+    if form == 3:
+        return str(2**64 + (uint64(rng) << int(rng.integers(0, 40))))
+    return str(int(rng.integers(1, 10**15)) * 10 ** int(rng.integers(20, 290)))
+
+
+def uint64(rng):
+    return int.from_bytes(rng.bytes(8), "little")
+
+
+def literal_file(rng, path, renormalize):
+    """Records whose entries are written as raw literal text (see :func:`number_literal`)."""
+    lines = []
+    for n in range(int(rng.integers(1, 5))):
+        k = 1000 if rng.random() < 0.05 else int(rng.integers(2, 8))
+        rows = fuzz_record(rng, renormalize, k)
+        texts = [[number_literal(rng, x) for x in row] for row in rows]
+        if renormalize and rng.random() < 0.4:  # rows of integers, with a negative one clamped away
+            texts[0] = [integer_literal(rng) for _ in range(k - 1)] + [str(-uint64(rng) << 1)]
+            texts[0][int(rng.integers(k - 1))] = str(1 + uint64(rng))  # some mass
+        elif not renormalize and rng.random() < 0.2:  # a one-hot row of integers
+            texts[0] = ["0"] * k
+            texts[0][int(rng.integers(k))] = "1"
+        samples = ", ".join("[" + ", ".join(row) + "]" for row in texts)
+        label = f', "label": {int(rng.integers(1, k + 1))}' if rng.random() < 0.6 else ""
+        lines.append(f'{{"id": "r{n}", "samples": [{samples}]{label}}}')
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+#: Lines that orjson refuses or reads otherwise than json.loads, or that json.loads decodes alone.
+REFUSED_LINES = {
+    "NaN": '{"id": "a", "samples": [[0.5, NaN, 0.5]]}',
+    "Infinity": '{"id": "a", "samples": [[0.5, 0.5, 0.0], [Infinity, 0.5, 0.5]]}',
+    "-Infinity": '{"id": "a", "samples": [[0.5, 0.5, -Infinity]]}',
+    "1e400": '{"id": "a", "samples": [[1e400, 0.5, 0.5]]}',
+    "-1E400": '{"id": "a", "samples": [[0.5, 0.5, -1E400]]}',
+    "lone high surrogate id": '{"id": "\\ud800", "samples": [[0.5, 0.5]], "label": 1}',
+    "lone low surrogate id": '{"id": "x\\udc00", "samples": [[0.5, 0.5]]}',
+    "4 400-digit integer": '{"id": "a", "samples": [[1' + "0" * 4400 + ', 0]]}',
+    "integer past float range": '{"id": "a", "samples": [[0.5, 0.5], [0.5, 1' + "0" * 309 + ']]}',
+    "unclosed nesting": "[" * 100000,
+    "nesting past the recursion limit": '{"id": "a", "samples": [[0.5, 0.5], ' + "[" * 2000 + "]" * 2000 + "]}",
+    "nested id": '{"id": ' + "[" * 2000 + "]" * 2000 + ', "samples": [[0.5, 0.5]]}',
+    "label null": '{"id": "a", "samples": [[0.5, 0.5]], "label": null}',
+    "label true": '{"id": "a", "samples": [[0.5, 0.5]], "label": true}',
+    "label 1.5": '{"id": "a", "samples": [[0.5, 0.5]], "label": 1.5}',
+    "label 2^64": '{"id": "a", "samples": [[0.5, 0.5]], "label": 18446744073709551616}',
+    "label -2^63 - 1": '{"id": "a", "samples": [[0.5, 0.5]], "label": -9223372036854775809}',
+    "label 2^64 - 1": '{"id": "a", "samples": [[0.5, 0.5]], "label": 18446744073709551615}',
+    "label past float range": '{"id": "a", "samples": [[0.5, 0.5]], "label": 1' + "0" * 400 + "}",
+    "5 000 members": '{"id": "a", "samples": [' + ", ".join(["[0.25, 0.75]", "[1, 0]"] * 2500) + "]}",
+}
+
+
 class TestParseOracle:
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_valid_files_match_per_row_reference_bit_for_bit(self, tmp_path, renormalize):
@@ -317,6 +414,34 @@ class TestParseOracle:
         assert same_outcome(outcome(batch_parse, path, renormalize), want)
         if fault in ("nan", "inf", "minus inf"):  # never clamped away, even with --renormalize
             assert want == (SimplexViolation, 2, 2, "line 2, row 2: probabilities must be finite")
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_number_literals_match_json_loads_bit_for_bit(self, tmp_path, renormalize):
+        rng = np.random.default_rng([10, renormalize])
+        valid = 0
+        for trial in range(50):
+            path = tmp_path / f"n{trial}.jsonl"
+            literal_file(rng, path, renormalize)
+            want = outcome(reference_parse, path, renormalize)
+            valid += not isinstance(want, tuple)
+            assert same_outcome(outcome(batch_parse, path, renormalize), want), path.read_text()[:300]
+        assert valid >= 40
+
+    @pytest.mark.parametrize("line", list(REFUSED_LINES.values()), ids=list(REFUSED_LINES))
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_lines_orjson_refuses_match_json_loads(self, tmp_path, line, renormalize):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, ['{"id": "ok", "samples": [[0.25, 0.75]], "label": 2}', line])
+        want = outcome(reference_parse, path, renormalize)
+        assert same_outcome(outcome(batch_parse, path, renormalize), want)
+
+    def test_nesting_too_deep_for_orjson_is_an_error_not_a_crash(self, tmp_path):
+        # orjson builds nested lists recursively and overflows the C stack near 130 000 levels
+        path = tmp_path / "p.jsonl"
+        write_lines(path, ['{"id": "a", "samples": [[0.5, 0.5], ' + "[" * 300000 + "]" * 300000 + "]}"])
+        code = "import sys; from uqscore.records import parse_predictions; parse_predictions(sys.argv[1])"
+        done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1 and "Malformed: line 1: invalid JSON (maximum recursion depth" in done.stderr
 
     def test_float32_rows_renormalize_like_one_row_at_a_time(self, tmp_path, rng):
         # the (M, K) row sums must equal the sums of each row on its own
