@@ -61,6 +61,8 @@ class TabularDataset:
         y = np.asarray(self.labels, dtype=np.intp)
         if x.ndim != 2 or x.shape[1] < 1:
             raise BadConfig("features must be an (n, d) matrix with d >= 1")
+        if not np.isfinite(x).all():
+            raise BadConfig("features must be finite")
         if y.shape != (x.shape[0],):
             raise BadConfig("labels must be one class index per feature row")
         if self.k < 2:

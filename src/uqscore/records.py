@@ -38,7 +38,6 @@ import numpy as np
 import orjson
 
 from .errors import (
-    DimensionMismatch,
     LabelOutOfRange,
     Malformed,
     MissingLabels,
@@ -181,14 +180,6 @@ def write_predictions(records: Iterable[PredictionRecord], path) -> None:
             if rec.label is not None:
                 payload["label"] = rec.label
             fh.write(json.dumps(payload, separators=(", ", ": ")) + "\n")
-
-
-def uniform_class_count(records: Sequence[PredictionRecord]) -> int:
-    """The shared K of the records, or :class:`DimensionMismatch`."""
-    ks = {rec.sample.k for rec in records}
-    if len(ks) != 1:
-        raise DimensionMismatch(f"records disagree on class count: {sorted(ks)}")
-    return ks.pop()
 
 
 def require_labels(records: Sequence[PredictionRecord]) -> list[int]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import uqscore
 import uqscore.measures as measures
-from uqscore.cli import main
+from uqscore.cli import build_parser, main
 from uqscore.measures import ScoringRule
 
 FIXTURE_LINES = [
@@ -126,6 +127,16 @@ class TestSelectiveCommand:
         desc_aulc = json.loads((out_d / "selective_summary.json").read_text())["aulc"]
         assert desc_aulc > asc_aulc
 
+    def test_mixed_class_counts(self, tmp_path, capsys):
+        path = tmp_path / "p.jsonl"
+        write_predictions_file(path, [
+            '{"id": "a", "samples": [[0.5, 0.5]], "label": 1}',
+            '{"id": "b", "samples": [[0.2, 0.3, 0.5]], "label": 3}',
+        ])
+        assert main(["selective", "--input", str(path), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: samples disagree on class count: [2, 3]\n"
+
     def test_missing_labels(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_predictions_file(path, ['{"id": "a", "samples": [[0.5, 0.5]]}'])
@@ -220,6 +231,7 @@ BAD_CONFIGS = [
     ("selective", {"task_rule": "bogus"}),
     ("selective", {"direction": "sideways"}),
     ("selective", {"component": "mutual"}),
+    ("selective", {"rule": "all"}),
     ("verify", {"suite": "bogus"}),
     ("verify", {"seed": True}),
     ("active", {"dataset": "abc"}),
@@ -230,6 +242,9 @@ BAD_CONFIGS = [
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers_seed": -1}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_initial": -5}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_test": -5}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": math.nan}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": math.inf}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": [[0, 0], [math.nan, 1]]}}),
     ("active", {"learner": [5]}),
     ("active", {"learner": {"n_trees": 2.5}}),
     ("active", {"learner": {"n_trees": 1}}),
@@ -251,7 +266,9 @@ class TestBadConfigValues:
         body.update(override)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(body))
-        argv = [task, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        argv = [task, "--config", str(config)]
+        if task != "verify":
+            argv += ["--out-dir", str(tmp_path / "out")]
         if task in ("decompose", "selective"):
             argv += ["--input", str(pred_file)]
         assert main(argv) == 3
@@ -265,6 +282,72 @@ class TestBadConfigValues:
         config.write_text(json.dumps(body))
         assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
         assert f"'{key}' must be >= 0" in capsys.readouterr().err
+
+
+#: Each subcommand's flags; a config file may set the same settings (and ``active`` its three sections).
+COMMAND_FLAGS = {
+    "decompose": {"--input", "--renormalize", "--rule", "--out-dir", "--config"},
+    "selective": {"--input", "--renormalize", "--rule", "--out-dir", "--config", "--component", "--task-rule",
+                  "--direction"},
+    "ood": {"--input", "--input-ood", "--renormalize", "--rule", "--component", "--out-dir", "--config"},
+    "active": {"--seed", "--rounds", "--batch", "--out-dir", "--config"},
+    "verify": {"--suite", "--config"},
+}
+
+#: The flags each subcommand took before, and ignored.
+DROPPED_FLAGS = [
+    ("decompose", ["--component", "total"]),
+    ("decompose", ["--seed", "3"]),
+    ("selective", ["--seed", "3"]),
+    ("ood", ["--seed", "3"]),
+    ("active", ["--input", "p.jsonl"]),
+    ("active", ["--rule", "brier"]),
+    ("active", ["--component", "epistemic"]),
+    ("active", ["--renormalize"]),
+    ("verify", ["--input", "p.jsonl"]),
+    ("verify", ["--rule", "log"]),
+    ("verify", ["--component", "total"]),
+    ("verify", ["--renormalize"]),
+    ("verify", ["--seed", "3"]),
+    ("verify", ["--out-dir", "out"]),
+]
+
+
+class TestCommandSettings:
+    def test_each_command_takes_only_its_flags(self):
+        parser = build_parser()
+        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands) == set(COMMAND_FLAGS)
+        for name, sub in commands.items():
+            flags = {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            assert flags == COMMAND_FLAGS[name], name
+            config_keys = set(vars(parser.parse_args([name]))) - {"task", "config"}
+            extra = {"dataset", "learner", "strategies"} if name == "active" else set()
+            assert config_keys == {f[2:].replace("-", "_") for f in flags - {"--config"}} | extra, name
+
+    @pytest.mark.parametrize("task, flag", DROPPED_FLAGS, ids=[f"{t} {f[0]}" for t, f in DROPPED_FLAGS])
+    def test_dropped_flag_exits_2(self, capsys, task, flag):
+        with pytest.raises(SystemExit) as err:
+            main([task, *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, key",
+        [("decompose", "component"), ("selective", "seed"), ("ood", "direction"), ("active", "input"),
+         ("verify", "out_dir"), ("decompose", "task"), ("decompose", "config")],
+    )
+    def test_key_the_command_does_not_read_exits_3(self, tmp_path, pred_file, capsys, task, key):
+        body = dict(ACTIVE_CONFIG) if task == "active" else {}
+        body[key] = "x"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        argv = [task, "--config", str(config)]
+        if task in ("decompose", "selective", "ood"):
+            argv += ["--input", str(pred_file), "--out-dir", str(tmp_path)]
+        assert main(argv + (["--input-ood", str(pred_file)] if task == "ood" else [])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file has unknown keys [{key!r}]") and "Traceback" not in err
 
 
 class TestVerifyCommand:

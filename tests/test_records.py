@@ -9,7 +9,6 @@ import pytest
 import uqscore.measures as measures
 import uqscore.records as records_module
 from uqscore.errors import (
-    DimensionMismatch,
     LabelOutOfRange,
     Malformed,
     MissingLabels,
@@ -23,7 +22,6 @@ from uqscore.records import (
     PredictionRecord,
     parse_predictions,
     require_labels,
-    uniform_class_count,
     write_predictions,
 )
 
@@ -167,13 +165,6 @@ class TestRoundTrip:
 
 
 class TestHelpers:
-    def test_uniform_class_count(self, tmp_path):
-        a = PredictionRecord("a", SecondOrderSample([[0.5, 0.5]]))
-        b = PredictionRecord("b", SecondOrderSample([[0.2, 0.3, 0.5]]))
-        assert uniform_class_count([a]) == 2
-        with pytest.raises(DimensionMismatch):
-            uniform_class_count([a, b])
-
     def test_require_labels(self):
         a = PredictionRecord("a", SecondOrderSample([[0.5, 0.5]]), 1)
         b = PredictionRecord("b", SecondOrderSample([[0.5, 0.5]]))
