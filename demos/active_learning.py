@@ -11,8 +11,8 @@ import statistics
 
 import numpy as np
 
-from uqscore import AcquisitionStrategy, ScoringRule, run_active_learning
-from uqscore.benchmarks import GAP_LEARNER, gap_problem
+from uqscore import AcquisitionStrategy, ScoringRule, make_epistemic_gap, run_active_learning
+from uqscore.benchmarks import GAP_LEARNER
 
 ROUNDS, BATCH, TARGET = 14, 6, 0.1
 
@@ -29,7 +29,7 @@ def main():
     rounds_to = {name: [] for name in STRATEGIES}
     example_traces = {}
     for seed in range(5):
-        data, split = gap_problem(60, 6, seed=seed)
+        data, split = make_epistemic_gap(60, 6, seed=seed)
         for name, strategy in STRATEGIES.items():
             trace = run_active_learning(
                 data, split, GAP_LEARNER, strategy, ROUNDS, BATCH, seed=seed

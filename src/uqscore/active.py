@@ -144,9 +144,7 @@ class EnsembleLearner:
     leaf: np.ndarray
     depth: int
     config: LearnerConfig
-    k: int
     d: int
-    seed: object = None
 
     @property
     def n_trees(self) -> int:
@@ -250,7 +248,7 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
         s = 2 * node.size
     feature, threshold, left, right, leaf = (np.concatenate(parts) for parts in zip(*levels))
     _check_simplex_rows(leaf)  # once per fit: predict_pool only gathers copies of these rows
-    return EnsembleLearner(feature, threshold, left, right, leaf, len(levels) - 1, config, train.k, train.d, seed)
+    return EnsembleLearner(feature, threshold, left, right, leaf, len(levels) - 1, config, train.d)
 
 
 def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
@@ -375,14 +373,14 @@ def make_epistemic_gap(
     n_labeled_region: int,
     n_gap_region: int,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, TabularDataset]:
+) -> tuple[TabularDataset, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Two-class data whose pool hides a distant uncovered cluster.
 
-    Returns ``(initial, pool, data)``: the initial labeled indices cover
-    only the two near clusters; the pool holds a further covered draw plus
-    ``n_gap_region`` points from the far cluster; the remaining rows (one
+    Returns ``(data, (initial, pool, test))``: the initial labeled indices
+    cover only the two near clusters; the pool holds a further covered draw
+    plus ``n_gap_region`` points from the far cluster; the test rows (one
     covered draw per class plus ``n_labeled_region`` gap points, so the
-    gap carries real test weight) are left for evaluation.  Ensemble
+    gap carries real test weight) are the rest.  Ensemble
     members trained on the initial set disagree on the argmax inside the
     gap, which is what epistemic acquisition exploits.
     """
@@ -407,7 +405,8 @@ def make_epistemic_gap(
     n_pool = 2 * n_labeled_region + n_gap_region
     initial = np.arange(n_initial)
     pool = np.arange(n_initial, n_initial + n_pool)
-    return initial, pool, data
+    test = np.arange(n_initial + n_pool, data.n)
+    return data, (initial, pool, test)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +495,6 @@ class ActiveLearningTrace:
 
     labeled_counts: np.ndarray
     test_losses: np.ndarray
-    strategy: AcquisitionStrategy
-    seed: int
 
     def __post_init__(self):
         counts = np.asarray(self.labeled_counts, dtype=np.intp)
@@ -514,10 +511,6 @@ class ActiveLearningTrace:
         losses.setflags(write=False)
         object.__setattr__(self, "labeled_counts", counts)
         object.__setattr__(self, "test_losses", losses)
-
-    @property
-    def n_rounds(self) -> int:
-        return self.labeled_counts.shape[0] - 1
 
     def rounds_to_reach(self, target: float) -> int | None:
         """First round index with test loss <= target, or None if never."""
@@ -572,4 +565,4 @@ def run_active_learning(
         picked = acquire(beliefs, strategy, batch, np.random.default_rng([seed, r, 1]))
         labeled = np.sort(np.concatenate([labeled, pool_left[picked]]))
         pool_left = np.delete(pool_left, picked)
-    return ActiveLearningTrace(np.array(counts), np.array(losses), strategy, seed)
+    return ActiveLearningTrace(np.array(counts), np.array(losses))

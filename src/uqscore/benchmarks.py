@@ -4,8 +4,8 @@ Both constructions are deliberately small and fully seeded.  The OoD
 benchmark trains the bagged ensemble on two overlapping Gaussian blobs
 and scores a far-away cluster placed over the contested midline, where
 bootstrap resampling makes the extrapolated decision boundary unstable.
-The active-learning benchmark wraps the epistemic-gap data with its
-evaluation split and the learner settings the trend checks use.
+The active-learning trend checks run on :func:`uqscore.active.make_epistemic_gap`
+with the learner settings kept here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .active import (
     LearnerConfig,
     TabularDataset,
     fit,
-    make_epistemic_gap,
     predict_pool,
     _two_blobs,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "OOD_LEARNER",
     "GAP_LEARNER",
     "ood_trend_run",
-    "gap_problem",
 ]
 
 #: Learner used by the OoD separability trend check.  Many trees keep the
@@ -43,31 +41,27 @@ _OOD_FAR_CENTER = (2.0, 8.0)  # 8 within-class sigmas above the data
 _OOD_FAR_SIGMA = 0.3  # narrow, concentrated over the contested midline
 
 
-def ood_trend_run(
-    seed: int,
-    n_train: int = 180,
-    n_eval: int = 200,
-    component: str = "epistemic",
-) -> dict[ScoringRule, AurocResult]:
-    """One seeded OoD run: AUROC of each rule's chosen component.
+def ood_trend_run(seed: int) -> dict[ScoringRule, AurocResult]:
+    """One seeded OoD run: AUROC of each rule's epistemic component.
 
-    Trains on two overlapping blobs, evaluates fresh in-distribution draws
-    against a narrow far-away cluster over the midline, eight within-class
-    standard deviations above the training data.
+    Trains on two overlapping blobs of 180 points per class, evaluates 200
+    fresh in-distribution draws against 200 points of a narrow far-away
+    cluster over the midline, eight within-class standard deviations above
+    the training data.
     """
     rng = np.random.default_rng(seed)
-    train = TabularDataset(*_two_blobs(rng, n_train, _OOD_SIGMA_X), 2)
-    id_features, _ = _two_blobs(rng, n_eval // 2, _OOD_SIGMA_X)
+    train = TabularDataset(*_two_blobs(rng, 180, _OOD_SIGMA_X), 2)
+    id_features, _ = _two_blobs(rng, 100, _OOD_SIGMA_X)
     ood_eval = np.column_stack(
         [
-            rng.normal(_OOD_FAR_CENTER[0], _OOD_FAR_SIGMA, size=n_eval),
-            rng.normal(_OOD_FAR_CENTER[1], _OOD_FAR_SIGMA, size=n_eval),
+            rng.normal(_OOD_FAR_CENTER[0], _OOD_FAR_SIGMA, size=200),
+            rng.normal(_OOD_FAR_CENTER[1], _OOD_FAR_SIGMA, size=200),
         ]
     )
     learner = fit(OOD_LEARNER, train, seed=seed)
     id_samples, ood_samples = _pool_samples(learner, id_features), _pool_samples(learner, ood_eval)
     return {
-        rule: run_ood(id_samples, ood_samples, rule, component)
+        rule: run_ood(id_samples, ood_samples, rule, "epistemic")
         for rule in ScoringRule
     }
 
@@ -78,14 +72,3 @@ def _pool_samples(learner, x: np.ndarray) -> list[SecondOrderSample]:
     means = pool.mean(axis=-2)  # point-major, so each equals SecondOrderSample(row).mean bit for bit
     means.setflags(write=False)
     return _samples_of(pool, means)
-
-
-def gap_problem(
-    n_labeled_region: int,
-    n_gap_region: int,
-    seed: int = 0,
-) -> tuple[TabularDataset, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Epistemic-gap data plus its (initial, pool, test) split."""
-    initial, pool, data = make_epistemic_gap(n_labeled_region, n_gap_region, seed=seed)
-    test = np.setdiff1d(np.arange(data.n), np.concatenate([initial, pool]))
-    return data, (initial, pool, test)

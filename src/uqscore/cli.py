@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import active as al
-from .benchmarks import gap_problem
 from .errors import BadConfig, EmptyInput, Malformed, SimplexViolation, UqscoreError
 from .measures import COMPONENTS, ScoringRule, _decompose_samples, check_component
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
@@ -197,8 +196,8 @@ def _build_active_problem(dataset: dict, seed: int):
     kind = dataset.pop("kind", None)
     if kind == "epistemic_gap":
         try:
-            return gap_problem(seed=seed, **dataset)
-        except TypeError as exc:
+            return al.make_epistemic_gap(seed=seed, **dataset)
+        except (TypeError, MemoryError) as exc:  # wrong key, or more points than memory can hold
             raise BadConfig(f"bad dataset section: {exc}") from exc
     if kind == "blobs":
         n_initial = dataset.pop("n_initial", None)
@@ -213,7 +212,7 @@ def _build_active_problem(dataset: dict, seed: int):
             n_test = data.n // 4 if n_test is None else operator.index(n_test)
         except BadConfig:
             raise
-        except (TypeError, ValueError) as exc:  # wrong key, type, or seed
+        except (TypeError, ValueError, MemoryError) as exc:  # wrong key, type, seed or size
             raise BadConfig(f"bad dataset section: {exc}") from exc
         for key, size in (("n_initial", n_initial), ("n_test", n_test)):
             if size < 0:

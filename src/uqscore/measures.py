@@ -130,13 +130,13 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
     if not np.all(np.isfinite(rows)):
         raise SimplexError("probabilities must be finite")
     if np.any(rows < -1e-12):
-        raise NegativeEntry(f"negative entry {rows.min()!r}")
+        raise NegativeEntry(f"negative entry {float(rows.min())!r}")
     if np.any(rows > 1.0 + SIMPLEX_TOLERANCE):
-        raise NotNormalized(f"entry {rows.max()!r} exceeds 1")
+        raise NotNormalized(f"entry {float(rows.max())!r} exceeds 1")
     sums = rows.sum(axis=1)
     bad = np.abs(sums - 1.0) > SIMPLEX_TOLERANCE
     if np.any(bad):
-        raise NotNormalized(f"entries sum to {sums[bad][0]!r}, not 1")
+        raise NotNormalized(f"entries sum to {float(sums[bad][0])!r}, not 1")
 
 
 def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarray:
@@ -174,7 +174,7 @@ def _prepare_rows(rows: np.ndarray, renormalize: bool) -> np.ndarray:
     totals = rows.sum(axis=1)
     empty = totals <= 0.0
     if np.any(empty):
-        raise ZeroMass(f"entries sum to {totals[empty][0]!r}; cannot renormalize")
+        raise ZeroMass(f"entries sum to {float(totals[empty][0])!r}; cannot renormalize")
     return rows / totals[:, None]
 
 

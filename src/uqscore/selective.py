@@ -73,11 +73,6 @@ class AulcResult:
     def n(self) -> int:
         return self.curve.shape[0]
 
-    def coverage(self) -> np.ndarray:
-        """Retained fraction k/n for each curve point."""
-        n = self.n
-        return np.arange(1, n + 1) / n
-
 
 def order_by_uncertainty(
     samples: Sequence[SecondOrderSample],
@@ -119,7 +114,7 @@ def _check_losses(losses) -> np.ndarray:
     return arr
 
 
-def aulc(losses: Sequence[float], ordering: Ordering, criterion: str | None = None) -> AulcResult:
+def aulc(losses: Sequence[float], ordering: Ordering) -> AulcResult:
     """Area under the loss-rejection curve for a given instance ordering.
 
     Computed as the average over k = 1..n of the mean loss among the first
@@ -134,7 +129,7 @@ def aulc(losses: Sequence[float], ordering: Ordering, criterion: str | None = No
     curve = np.cumsum(permuted) / ks
     value = float(curve.mean())
     curve.setflags(write=False)
-    return AulcResult(value, curve, criterion if criterion is not None else ordering.criterion)
+    return AulcResult(value, curve, ordering.criterion)
 
 
 def aulc_weighted(losses: Sequence[float], ordering: Ordering) -> float:

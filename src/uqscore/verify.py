@@ -67,11 +67,11 @@ def random_belief(rng: np.random.Generator, k: int | None = None, m: int | None 
     return SecondOrderSample(matrix)
 
 
-def suite_decompose(n_samples: int = 2000, seed: int = 1819) -> SuiteResult:
+def suite_decompose() -> SuiteResult:
     """Closed forms vs the expectation-form oracle, plus additivity."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1819)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(2000):
         sample = random_belief(rng)
         for rule in RULES:
             closed = measures.decompose(rule, sample)
@@ -84,21 +84,21 @@ def suite_decompose(n_samples: int = 2000, seed: int = 1819) -> SuiteResult:
                 abs(closed.epistemic - generic.epistemic),
                 max(0.0, -closed.epistemic),
             )
-    return SuiteResult("decompose", worst <= 1e-9, worst, f"{n_samples} samples x 4 rules, tol 1e-9")
+    return SuiteResult("decompose", worst <= 1e-9, worst, "2000 samples x 4 rules, tol 1e-9")
 
 
-def suite_aulc(n_bruteforce: int = 60, n_forms: int = 200, seed: int = 2423) -> SuiteResult:
+def suite_aulc() -> SuiteResult:
     """Brute-force minimizer vs ascending sort, and the two sum forms."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2423)
     worst_bf = 0.0
-    for _ in range(n_bruteforce):
+    for _ in range(60):
         n = int(rng.integers(2, 8))
         losses = rng.random(n)
         _, best = selective.optimal_aulc_bruteforce(losses)
         ascending = selective.aulc(losses, selective.Ordering(np.argsort(losses, kind="stable")))
         worst_bf = max(worst_bf, abs(best - ascending.aulc))
     worst_forms = 0.0
-    for _ in range(n_forms):
+    for _ in range(200):
         n = int(rng.integers(1, 201))
         losses = rng.random(n)
         ordering = selective.Ordering(rng.permutation(n))
@@ -112,18 +112,18 @@ def suite_aulc(n_bruteforce: int = 60, n_forms: int = 200, seed: int = 2423) -> 
         "aulc",
         passed,
         worst,
-        f"{n_bruteforce} brute-force cases tol 1e-9, {n_forms} form checks tol 1e-12",
+        "60 brute-force cases tol 1e-9, 200 form checks tol 1e-12",
     )
 
 
-def suite_auroc(n_splits: int = 100, seed: int = 2931, max_side: int = 300) -> SuiteResult:
+def suite_auroc() -> SuiteResult:
     """Rank-based estimator vs the pairwise count, and exact complement."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2931)
     worst = 0.0
     complement_dev = 0.0
-    for _ in range(n_splits):
-        n_id = int(rng.integers(1, max_side + 1))
-        n_ood = int(rng.integers(1, max_side + 1))
+    for _ in range(100):
+        n_id = int(rng.integers(1, 301))
+        n_ood = int(rng.integers(1, 301))
         id_scores = rng.random(n_id)
         ood_scores = rng.random(n_ood) + rng.normal(0.3, 0.5)
         if rng.random() < 0.5:  # force ties
@@ -140,22 +140,22 @@ def suite_auroc(n_splits: int = 100, seed: int = 2931, max_side: int = 300) -> S
         "auroc",
         passed,
         max(worst, complement_dev),
-        f"{n_splits} splits, pairwise tol 1e-12, complement exact",
+        "100 splits, pairwise tol 1e-12, complement exact",
     )
 
 
-def suite_binary_ordering(n_samples: int = 300, seed: int = 3739) -> SuiteResult:
+def suite_binary_ordering() -> SuiteResult:
     """For K=2, total uncertainty ranks instances identically under all rules."""
-    rng = np.random.default_rng(seed)
-    samples = [random_belief(rng, k=2, m=int(rng.integers(1, 11))) for _ in range(n_samples)]
+    rng = np.random.default_rng(3739)
+    samples = [random_belief(rng, k=2, m=int(rng.integers(1, 11))) for _ in range(300)]
     totals = measures._decompose_samples(RULES, samples)[:, 0]
-    rankings = [np.lexsort((np.arange(n_samples), values)) for values in totals]
+    rankings = [np.lexsort((np.arange(len(samples)), values)) for values in totals]
     mismatches = sum(int(np.any(r != rankings[0])) for r in rankings[1:])
     return SuiteResult(
         "binary-ordering",
         mismatches == 0,
         float(mismatches),
-        f"{n_samples} K=2 samples, exact permutation match",
+        "300 K=2 samples, exact permutation match",
     )
 
 

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from uqscore.active import AcquisitionStrategy, run_active_learning
-from uqscore.benchmarks import GAP_LEARNER, gap_problem, ood_trend_run
+from uqscore.active import AcquisitionStrategy, make_epistemic_gap, run_active_learning
+from uqscore.benchmarks import GAP_LEARNER, ood_trend_run
 from uqscore.cli import main
 from uqscore.measures import (
     ScoringRule,
@@ -177,7 +177,7 @@ def test_08_active_learning_trend_at_desk_scale():
     censored = rounds + 1
     rounds_to = {"zero-one": [], "log": [], "random": []}
     for seed in range(5):
-        data, split = gap_problem(60, 6, seed=seed)
+        data, split = make_epistemic_gap(60, 6, seed=seed)
         runs = {
             "zero-one": AcquisitionStrategy.uncertainty(ScoringRule.ZERO_ONE),
             "log": AcquisitionStrategy.uncertainty(ScoringRule.LOG),

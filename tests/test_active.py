@@ -15,7 +15,7 @@ from uqscore.active import (
     predict_pool,
     run_active_learning,
 )
-from uqscore.benchmarks import GAP_LEARNER, gap_problem
+from uqscore.benchmarks import GAP_LEARNER
 from uqscore.errors import (
     BadConfig,
     BatchTooLarge,
@@ -116,10 +116,10 @@ class TestMakeBlobs:
 
 class TestEpistemicGap:
     def test_deterministic(self):
-        a = make_epistemic_gap(20, 5, seed=3)
-        b = make_epistemic_gap(20, 5, seed=3)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert np.array_equal(a[2].features, b[2].features)
+        a_data, a_split = make_epistemic_gap(20, 5, seed=3)
+        b_data, b_split = make_epistemic_gap(20, 5, seed=3)
+        assert all(np.array_equal(a, b) for a, b in zip(a_split, b_split))
+        assert np.array_equal(a_data.features, b_data.features)
 
     def test_degenerate_rejected(self):
         with pytest.raises(BadConfig):
@@ -128,16 +128,17 @@ class TestEpistemicGap:
             make_epistemic_gap(0, 5, seed=0)
 
     def test_split_structure(self):
-        initial, pool, data = make_epistemic_gap(30, 8, seed=1)
+        data, (initial, pool, test) = make_epistemic_gap(30, 8, seed=1)
         assert initial.size == 60 and pool.size == 68
         assert np.intersect1d(initial, pool).size == 0
         assert data.n == 60 + 68 + 90
+        assert test.tolist() == np.setdiff1d(np.arange(data.n), np.concatenate([initial, pool])).tolist()
 
     def test_gap_pool_shows_more_zero_one_epistemic_mass(self):
         # the far cluster sits >= 6 sigma from the covered region; the
         # ensemble's members disagree there and much less elsewhere
         for seed in range(5):
-            initial, pool, data = make_epistemic_gap(40, 30, seed=seed)
+            data, (initial, pool, _) = make_epistemic_gap(40, 30, seed=seed)
             learner = fit(GAP_LEARNER, data.subset(initial), seed=seed)
             samples = predict_pool(learner, data.features[pool])
             eu = np.array([decompose(ZERO_ONE, SecondOrderSample(row)).epistemic for row in samples])
@@ -438,13 +439,13 @@ class TestAcquire:
 
 class TestRunActiveLearning:
     def test_zero_rounds_single_entry(self):
-        data, split = gap_problem(10, 2, seed=0)
+        data, split = make_epistemic_gap(10, 2, seed=0)
         trace = run_active_learning(data, split, GAP_LEARNER, AcquisitionStrategy.random(), 0, 1, seed=0)
         assert trace.labeled_counts.tolist() == [split[0].size]
         assert trace.test_losses.size == 1
 
     def test_deterministic_traces(self):
-        data, split = gap_problem(15, 4, seed=2)
+        data, split = make_epistemic_gap(15, 4, seed=2)
         kwargs = dict(rounds=3, batch=3, seed=9)
         a = run_active_learning(data, split, GAP_LEARNER, AcquisitionStrategy.uncertainty(ZERO_ONE), **kwargs)
         b = run_active_learning(data, split, GAP_LEARNER, AcquisitionStrategy.uncertainty(ZERO_ONE), **kwargs)
@@ -452,7 +453,7 @@ class TestRunActiveLearning:
         assert np.array_equal(a.test_losses, b.test_losses)
 
     def test_full_pool_acquisition_matches_direct_fit(self):
-        data, (initial, pool, test) = gap_problem(12, 3, seed=4)
+        data, (initial, pool, test) = make_epistemic_gap(12, 3, seed=4)
         rounds, batch = 3, 9
         assert rounds * batch == pool.size
         trace = run_active_learning(
@@ -466,19 +467,19 @@ class TestRunActiveLearning:
         assert trace.labeled_counts.tolist() == [24, 33, 42, 51]
 
     def test_split_overlap_rejected(self):
-        data, (initial, pool, test) = gap_problem(10, 2, seed=0)
+        data, (initial, pool, test) = make_epistemic_gap(10, 2, seed=0)
         with pytest.raises(SplitOverlap):
             run_active_learning(data, (initial, initial, test), GAP_LEARNER,
                                 AcquisitionStrategy.random(), 1, 1, seed=0)
 
     def test_batch_budget_guard(self):
-        data, split = gap_problem(10, 2, seed=0)
+        data, split = make_epistemic_gap(10, 2, seed=0)
         with pytest.raises(BatchTooLarge):
             run_active_learning(data, split, GAP_LEARNER,
                                 AcquisitionStrategy.random(), 100, 10, seed=0)
 
     def test_epistemic_beats_random_one_seed(self):
-        data, split = gap_problem(60, 6, seed=1)
+        data, split = make_epistemic_gap(60, 6, seed=1)
         eu = run_active_learning(data, split, GAP_LEARNER,
                                  AcquisitionStrategy.uncertainty(ZERO_ONE), 14, 6, seed=1)
         rand = run_active_learning(data, split, GAP_LEARNER,
@@ -492,11 +493,11 @@ class TestRunActiveLearning:
 class TestTrace:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ActiveLearningTrace([10, 10], [0.5, 0.4], AcquisitionStrategy.random(), 0)
+            ActiveLearningTrace([10, 10], [0.5, 0.4])
         with pytest.raises(ValueError):
-            ActiveLearningTrace([10, 20], [0.5, 1.4], AcquisitionStrategy.random(), 0)
+            ActiveLearningTrace([10, 20], [0.5, 1.4])
 
     def test_rounds_to_reach(self):
-        trace = ActiveLearningTrace([10, 20, 30], [0.5, 0.08, 0.2], AcquisitionStrategy.random(), 0)
+        trace = ActiveLearningTrace([10, 20, 30], [0.5, 0.08, 0.2])
         assert trace.rounds_to_reach(0.1) == 1
         assert trace.rounds_to_reach(0.01) is None

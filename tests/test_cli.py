@@ -245,15 +245,23 @@ BAD_CONFIGS = [
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": math.nan}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": math.inf}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": [[0, 0], [math.nan, 1]]}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_initial": 20, "n_test": 20}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "n_test": 0}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 10**16}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "d": 10**16}}),
+    ("active", {"dataset": {"kind": "epistemic_gap", "n_labeled_region": 10**16, "n_gap_region": 4}}),
     ("active", {"learner": [5]}),
     ("active", {"learner": {"n_trees": 2.5}}),
     ("active", {"learner": {"n_trees": 1}}),
+    ("active", {"learner": {"bogus": 1}}),
     ("active", {"strategies": "random"}),
     ("active", {"strategies": [5]}),
     ("active", {"strategies": ["log:bogus"]}),
     ("active", {"strategies": ["bogus"]}),
     ("active", {"rounds": True}),
     ("active", {"rounds": 1.5}),
+    ("active", {"rounds": -1}),
+    ("active", {"batch": 0}),
     ("active", {"batch": "3"}),
     ("active", {"seed": -1}),
 ]
@@ -450,7 +458,8 @@ class TestCliPlumbing:
         "bad_line, message",
         [
             (b"\xff\xfe", "line 2: not valid UTF-8 (byte 0xff at column 1)"),
-            (b'{"id": "b", "samples": [[0.5, 0.6]]}', "line 2, row 1: entries sum to"),
+            (b'{"id": "b", "samples": [[0.5, 0.6]]}', "line 2, row 1: entries sum to 1.1, not 1\n"),
+            (b'{"id": "b", "samples": [[1.2, -0.2]]}', "line 2, row 1: negative entry -0.2\n"),
         ],
     )
     def test_parse_errors_name_the_bad_input(self, tmp_path, pred_file, capsys, bad_line, message):
@@ -462,6 +471,12 @@ class TestCliPlumbing:
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
+
+    def test_config_that_is_no_object_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[1]")
+        assert main(["verify", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
 
     def test_renormalize_flag_path(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -88,6 +88,8 @@ class TestParse:
             '{"id": "a", "samples": [[0.5, 0.5]], "label": 1.5}',
             '{"id": "a", "samples": [[0.5, 0.5]], "extra": 1}',
             '{"id": "a", "samples": [[0.5, 0.5000000010002, -5e-13]]}',  # row passes alone, clipped mean does not
+            "[0.5, 0.5]",
+            "null",
         ],
     )
     def test_malformed_lines(self, tmp_path, line):
