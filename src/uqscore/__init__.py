@@ -11,91 +11,14 @@ evaluate those measures on downstream tasks: selective prediction
 :mod:`uqscore.verify` and a CLI in :mod:`uqscore.cli`.
 """
 
-from .measures import (
-    COMPONENTS,
-    SIMPLEX_TOLERANCE,
-    CategoricalDistribution,
-    ScoringRule,
-    SecondOrderSample,
-    UncertaintyTriple,
-    decompose,
-    divergence,
-    entropy,
-    expected_loss,
-    generic_triple,
-    loss,
-    validate_simplex,
-)
-from .selective import (
-    AulcResult,
-    Ordering,
-    aulc,
-    aulc_weighted,
-    harmonic_weights,
-    optimal_aulc_bruteforce,
-    order_by_uncertainty,
-    run_selective_prediction,
-)
-from .ood import AurocResult, ScoreSplit, auroc, auroc_pairwise, run_ood
-from .active import (
-    AcquisitionStrategy,
-    ActiveLearningTrace,
-    EnsembleLearner,
-    LearnerConfig,
-    TabularDataset,
-    acquire,
-    ensemble_zero_one_loss,
-    fit,
-    make_blobs,
-    make_epistemic_gap,
-    predict_pool,
-    run_active_learning,
-)
-from .records import PredictionRecord, parse_predictions, write_predictions
+from . import measures, selective, ood, active, records
+from .measures import *  # noqa: F403
+from .selective import *  # noqa: F403
+from .ood import *  # noqa: F403
+from .active import *  # noqa: F403
+from .records import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMPONENTS",
-    "SIMPLEX_TOLERANCE",
-    "CategoricalDistribution",
-    "ScoringRule",
-    "SecondOrderSample",
-    "UncertaintyTriple",
-    "decompose",
-    "divergence",
-    "entropy",
-    "expected_loss",
-    "generic_triple",
-    "loss",
-    "validate_simplex",
-    "AulcResult",
-    "Ordering",
-    "aulc",
-    "aulc_weighted",
-    "harmonic_weights",
-    "optimal_aulc_bruteforce",
-    "order_by_uncertainty",
-    "run_selective_prediction",
-    "AurocResult",
-    "ScoreSplit",
-    "auroc",
-    "auroc_pairwise",
-    "run_ood",
-    "AcquisitionStrategy",
-    "ActiveLearningTrace",
-    "EnsembleLearner",
-    "LearnerConfig",
-    "TabularDataset",
-    "acquire",
-    "ensemble_zero_one_loss",
-    "fit",
-    "make_blobs",
-    "make_epistemic_gap",
-    "predict_pool",
-    "run_active_learning",
-    "PredictionRecord",
-    "parse_predictions",
-    "write_predictions",
-    "__version__",
-]
+# each module's __all__ is the one list of its public names, so a name is added or dropped in one place
+__all__ = [*measures.__all__, *selective.__all__, *ood.__all__, *active.__all__, *records.__all__, "__version__"]

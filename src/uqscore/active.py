@@ -112,8 +112,8 @@ class LearnerConfig:
             raise BadConfig("depth_cap must be >= 0")
         if self.min_leaf < 1:
             raise BadConfig("min_leaf must be >= 1")
-        if not (self.alpha >= 0.0):
-            raise BadConfig("alpha must be >= 0")
+        if isinstance(self.alpha, bool) or not (0.0 <= self.alpha < np.inf):
+            raise BadConfig(f"alpha must be a finite number >= 0, got {self.alpha!r}")
 
 
 class _Node:
@@ -180,8 +180,13 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
     if train.n == 0:
         raise EmptyTrain("cannot fit on an empty training set")
     n, k, m, min_leaf = train.n, train.k, config.n_trees, config.min_leaf
-    streams = np.random.SeedSequence(seed).spawn(m)
-    boot = np.concatenate([np.random.default_rng(child).integers(0, n, size=n) for child in streams])
+    try:  # allocate first: spawning one stream per tree for a huge m would run on with no error
+        boot = np.empty((m, n), dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise BadConfig(f"{m} trees of {n} bootstrap rows do not fit in memory") from exc
+    for row, child in zip(boot, np.random.SeedSequence(seed).spawn(m)):
+        row[:] = np.random.default_rng(child).integers(0, n, size=n)
+    boot = boot.ravel()
     x = train.features[boot]  # tree-major bootstrap rows
     y = train.labels[boot] - 1
     onehot = np.eye(k)[y]

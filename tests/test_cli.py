@@ -254,6 +254,9 @@ BAD_CONFIGS = [
     ("active", {"learner": {"n_trees": 2.5}}),
     ("active", {"learner": {"n_trees": 1}}),
     ("active", {"learner": {"bogus": 1}}),
+    ("active", {"learner": {"n_trees": 10**16}}),
+    ("active", {"learner": {"alpha": True}}),
+    ("active", {"learner": {"alpha": float("inf")}}),
     ("active", {"strategies": "random"}),
     ("active", {"strategies": [5]}),
     ("active", {"strategies": ["log:bogus"]}),

@@ -1,0 +1,31 @@
+import uqscore
+from uqscore import active, measures, ood, records, selective
+
+MODULES = (measures, selective, ood, active, records)
+
+PUBLIC_NAMES = {
+    "COMPONENTS", "SIMPLEX_TOLERANCE", "CategoricalDistribution", "ScoringRule", "SecondOrderSample",
+    "UncertaintyTriple", "decompose", "divergence", "entropy", "expected_loss", "generic_triple", "loss",
+    "validate_simplex",
+    "AulcResult", "Ordering", "aulc", "aulc_weighted", "harmonic_weights", "optimal_aulc_bruteforce",
+    "order_by_uncertainty", "run_selective_prediction",
+    "AurocResult", "ScoreSplit", "auroc", "auroc_pairwise", "run_ood",
+    "AcquisitionStrategy", "ActiveLearningTrace", "EnsembleLearner", "LearnerConfig", "TabularDataset", "acquire",
+    "ensemble_zero_one_loss", "fit", "make_blobs", "make_epistemic_gap", "predict_pool", "run_active_learning",
+    "PredictionRecord", "parse_predictions", "write_predictions",
+    "__version__",
+}
+
+
+def test_package_reexports_each_module_all():
+    assert len(uqscore.__all__) == len(PUBLIC_NAMES) == 42
+    assert set(uqscore.__all__) == PUBLIC_NAMES
+    module_names = [name for module in MODULES for name in module.__all__]
+    assert len(module_names) == len(set(module_names)), "a name is public in two modules"
+    assert set(module_names) == PUBLIC_NAMES - {"__version__"}
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(uqscore, name) is getattr(module, name), name
+    namespace = {}
+    exec("from uqscore import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
