@@ -327,12 +327,12 @@ def make_blobs(
         centers = np.asarray(centers, dtype=np.float64)
         if centers.shape != (k, d):
             raise BadConfig(f"centers must have shape ({k}, {d})")
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.square(diffs).sum(axis=2))
-    min_dist = dist[~np.eye(k, dtype=bool)].min()
-    sigma = spread * min_dist
-    noise = np.random.default_rng(noise_seed).normal(size=(k * n_per_class, d))
-    features = np.repeat(centers, n_per_class, axis=0) + sigma * noise
+    with np.errstate(over="ignore", invalid="ignore"):  # huge centers or spread: TabularDataset rejects the result
+        diffs = centers[:, None, :] - centers[None, :, :]
+        min_dist = np.sqrt(np.square(diffs).sum(axis=2))[~np.eye(k, dtype=bool)].min()
+        sigma = spread * min_dist
+        noise = np.random.default_rng(noise_seed).normal(size=(k * n_per_class, d))
+        features = np.repeat(centers, n_per_class, axis=0) + sigma * noise
     labels = np.repeat(np.arange(1, k + 1), n_per_class)
     return TabularDataset(features, labels, k)
 
@@ -421,30 +421,24 @@ def make_epistemic_gap(
 
 @dataclass(frozen=True)
 class AcquisitionStrategy:
-    """Either uniform random acquisition or a top-batch uncertainty rule."""
+    """A top-batch uncertainty rule and component, or, with neither, uniform random acquisition."""
 
-    kind: str
     rule: ScoringRule | None = None
     component: str | None = None
 
     def __post_init__(self):
-        if self.kind == "random":
-            if self.rule is not None or self.component is not None:
-                raise BadConfig("random acquisition takes no rule or component")
-        elif self.kind == "uncertainty":
-            if self.rule is None or self.component is None:
-                raise BadConfig("uncertainty acquisition needs a rule and a component")
+        if (self.rule is None) != (self.component is None):
+            raise BadConfig("uncertainty acquisition needs a rule and a component; random takes neither")
+        if self.component is not None:
             check_component(self.component)
-        else:
-            raise BadConfig(f"unknown acquisition kind {self.kind!r}")
 
     @classmethod
     def random(cls) -> "AcquisitionStrategy":
-        return cls("random")
+        return cls()
 
     @classmethod
     def uncertainty(cls, rule: ScoringRule, component: str = "epistemic") -> "AcquisitionStrategy":
-        return cls("uncertainty", rule, component)
+        return cls(rule, component)
 
     @classmethod
     def parse(cls, text: str) -> "AcquisitionStrategy":
@@ -460,9 +454,16 @@ class AcquisitionStrategy:
 
     @property
     def label(self) -> str:
-        if self.kind == "random":
+        if self.rule is None:
             return "random"
         return f"{self.rule}-{self.component}"
+
+
+def _pool_scores(pool: np.ndarray, rule: ScoringRule, component: str) -> np.ndarray:
+    """One component of every belief of a :func:`predict_pool` array, per-row ``decompose`` bit for bit."""
+    triple = _decompose_arrays(rule, pool, pool.mean(axis=-2))  # point-major: each mean adds as a sample's would
+    _check_triples(*triple)
+    return triple[COMPONENTS.index(component)]
 
 
 def acquire(
@@ -484,12 +485,10 @@ def acquire(
         raise BatchTooLarge("batch must be >= 0")
     if batch > n:
         raise BatchTooLarge(f"batch {batch} exceeds pool size {n}")
-    if strategy.kind == "random":
+    if strategy.rule is None:
         chosen = rng.choice(n, size=batch, replace=False)
         return np.sort(chosen)
-    triple = _decompose_arrays(strategy.rule, pool, pool.mean(axis=-2))
-    _check_triples(*triple)
-    values = triple[COMPONENTS.index(strategy.component)]
+    values = _pool_scores(pool, strategy.rule, strategy.component)
     order = np.lexsort((np.arange(n), -values))
     return np.sort(order[:batch])
 
@@ -566,7 +565,7 @@ def run_active_learning(
         if r == rounds:
             break
         pool_x = data.features[pool_left]
-        beliefs = pool_x if strategy.kind == "random" else predict_pool(learner, pool_x)
+        beliefs = pool_x if strategy.rule is None else predict_pool(learner, pool_x)
         picked = acquire(beliefs, strategy, batch, np.random.default_rng([seed, r, 1]))
         labeled = np.sort(np.concatenate([labeled, pool_left[picked]]))
         pool_left = np.delete(pool_left, picked)

@@ -12,15 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .active import (
-    LearnerConfig,
-    TabularDataset,
-    fit,
-    predict_pool,
-    _two_blobs,
-)
-from .measures import ScoringRule, SecondOrderSample, _samples_of
-from .ood import AurocResult, run_ood
+from .active import LearnerConfig, TabularDataset, _pool_scores, _two_blobs, fit, predict_pool
+from .measures import ScoringRule
+from .ood import AurocResult, ScoreSplit, auroc
 
 __all__ = [
     "OOD_LEARNER",
@@ -59,16 +53,8 @@ def ood_trend_run(seed: int) -> dict[ScoringRule, AurocResult]:
         ]
     )
     learner = fit(OOD_LEARNER, train, seed=seed)
-    id_samples, ood_samples = _pool_samples(learner, id_features), _pool_samples(learner, ood_eval)
+    id_pool, ood_pool = predict_pool(learner, id_features), predict_pool(learner, ood_eval)
     return {
-        rule: run_ood(id_samples, ood_samples, rule, "epistemic")
+        rule: auroc(ScoreSplit(_pool_scores(id_pool, rule, "epistemic"), _pool_scores(ood_pool, rule, "epistemic")))
         for rule in ScoringRule
     }
-
-
-def _pool_samples(learner, x: np.ndarray) -> list[SecondOrderSample]:
-    """Samples viewing the beliefs :func:`predict_pool` built, without a per-row copy or check."""
-    pool = predict_pool(learner, x)
-    means = pool.mean(axis=-2)  # point-major, so each equals SecondOrderSample(row).mean bit for bit
-    means.setflags(write=False)
-    return _samples_of(pool, means)

@@ -194,37 +194,34 @@ def cmd_ood(args: argparse.Namespace) -> int:
 def _build_active_problem(dataset: dict, seed: int):
     dataset = dict(dataset)
     kind = dataset.pop("kind", None)
-    if kind == "epistemic_gap":
-        try:
+    if kind not in ("epistemic_gap", "blobs"):
+        raise BadConfig(f"unknown dataset kind {kind!r}; expected epistemic_gap or blobs")
+    try:
+        if kind == "epistemic_gap":
             return al.make_epistemic_gap(seed=seed, **dataset)
-        except (TypeError, MemoryError) as exc:  # wrong key, or more points than memory can hold
-            raise BadConfig(f"bad dataset section: {exc}") from exc
-    if kind == "blobs":
         n_initial = dataset.pop("n_initial", None)
         n_test = dataset.pop("n_test", None)
-        try:
-            data = al.make_blobs(
-                centers_seed=dataset.pop("centers_seed", seed),
-                noise_seed=dataset.pop("noise_seed", seed + 1),
-                **dataset,
-            )
-            n_initial = max(data.k, data.n // 10) if n_initial is None else operator.index(n_initial)
-            n_test = data.n // 4 if n_test is None else operator.index(n_test)
-        except BadConfig:
-            raise
-        except (TypeError, ValueError, MemoryError) as exc:  # wrong key, type, seed or size
-            raise BadConfig(f"bad dataset section: {exc}") from exc
-        for key, size in (("n_initial", n_initial), ("n_test", n_test)):
-            if size < 0:
-                raise BadConfig(f"dataset key {key!r} must be >= 0, got {size}")
-        if n_initial + n_test >= data.n:
-            raise BadConfig("n_initial + n_test must leave room for a pool")
-        order = np.random.default_rng([seed, 7]).permutation(data.n)
-        initial = order[:n_initial]
-        test = order[n_initial : n_initial + n_test]
-        pool = order[n_initial + n_test :]
-        return data, (initial, pool, test)
-    raise BadConfig(f"unknown dataset kind {kind!r}; expected epistemic_gap or blobs")
+        data = al.make_blobs(
+            centers_seed=dataset.pop("centers_seed", seed),
+            noise_seed=dataset.pop("noise_seed", seed + 1),
+            **dataset,
+        )
+        n_initial = max(data.k, data.n // 10) if n_initial is None else operator.index(n_initial)
+        n_test = data.n // 4 if n_test is None else operator.index(n_test)
+    except BadConfig:
+        raise
+    except (TypeError, ValueError, MemoryError) as exc:  # wrong key, type, seed or size
+        raise BadConfig(f"bad dataset section: {exc}") from exc
+    for key, size in (("n_initial", n_initial), ("n_test", n_test)):
+        if size < 0:
+            raise BadConfig(f"dataset key {key!r} must be >= 0, got {size}")
+    if n_initial + n_test >= data.n:
+        raise BadConfig("n_initial + n_test must leave room for a pool")
+    order = np.random.default_rng([seed, 7]).permutation(data.n)
+    initial = order[:n_initial]
+    test = order[n_initial : n_initial + n_test]
+    pool = order[n_initial + n_test :]
+    return data, (initial, pool, test)
 
 
 def cmd_active(args: argparse.Namespace) -> int:
@@ -240,6 +237,9 @@ def cmd_active(args: argparse.Namespace) -> int:
     except TypeError as exc:
         raise BadConfig(f"bad learner section: {exc}") from exc
     strategies = [al.AcquisitionStrategy.parse(s) for s in strategy_names]
+    labels = [s.label for s in strategies]
+    if len(set(labels)) < len(labels):
+        raise BadConfig(f"strategies repeat a label, and each label names one trace file: {labels}")
     paths = []
     for strategy in strategies:
         trace = al.run_active_learning(

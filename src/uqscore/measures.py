@@ -256,24 +256,15 @@ def _shape_chunks(shapes: Sequence[tuple]) -> list[list[int]]:
 def _build_samples(matrices: Sequence[np.ndarray], renormalize: bool) -> list[SecondOrderSample]:
     """Samples of float64 (M, K) arrays, in order: one prepare and belief build per (M, K) chunk.
 
-    Each sample's matrix and mean are read-only views into its chunk.
+    Each sample's matrix and mean are read-only views into its chunk, a copy: ``matrices`` stay as given.
     """
     samples = [None] * len(matrices)
     for chunk in _shape_chunks([matrix.shape for matrix in matrices]):
         n, m, k = len(chunk), *matrices[chunk[0]].shape
         members = _prepare_rows(np.concatenate([matrices[i] for i in chunk]), renormalize).reshape(n, m, k)
-        for i, sample in zip(chunk, _samples_of(members, _build_beliefs(members))):
-            samples[i] = sample
-    return samples
-
-
-def _samples_of(members: np.ndarray, means: np.ndarray) -> list[SecondOrderSample]:
-    """Samples viewing built, read-only (n, M, K) beliefs and their (n, K) means, without a copy or a check."""
-    samples = []
-    for matrix, mean in zip(members, means):
-        sample = object.__new__(SecondOrderSample)
-        sample.matrix, sample.mean = matrix, CategoricalDistribution._of_checked(mean)
-        samples.append(sample)
+        for i, matrix, mean in zip(chunk, members, _build_beliefs(members)):
+            samples[i] = sample = object.__new__(SecondOrderSample)
+            sample.matrix, sample.mean = matrix, CategoricalDistribution._of_checked(mean)
     return samples
 
 

@@ -49,7 +49,6 @@ class AurocResult:
     auroc: float
     n_id: int
     n_ood: int
-    criterion: str = "external"
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -64,7 +63,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auroc(split: ScoreSplit, criterion: str = "external") -> AurocResult:
+def auroc(split: ScoreSplit) -> AurocResult:
     """Mann-Whitney AUROC of the split, OoD scores as positives."""
     n_id = split.id_scores.shape[0]
     n_ood = split.ood_scores.shape[0]
@@ -79,7 +78,7 @@ def auroc(split: ScoreSplit, criterion: str = "external") -> AurocResult:
         value = u / d
     else:
         value = 1.0 - (d - u) / d
-    return AurocResult(value, n_id, n_ood, criterion)
+    return AurocResult(value, n_id, n_ood)
 
 
 def auroc_pairwise(split: ScoreSplit) -> float:
@@ -106,4 +105,4 @@ def run_ood(
     if len(ks) > 1:
         raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
     scores = _decompose_samples([rule], list(id_samples) + list(ood_samples))[0, COMPONENTS.index(component)]
-    return auroc(ScoreSplit(scores[: len(id_samples)], scores[len(id_samples) :]), criterion=f"{rule}:{component}")
+    return auroc(ScoreSplit(scores[: len(id_samples)], scores[len(id_samples) :]))

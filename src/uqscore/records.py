@@ -23,8 +23,9 @@ nesting.  Each line therefore gives the value or the error that
 
 Each record is checked once: its JSON shape and entry types (bools are
 not numbers) as its line is read, its rows in a chunk of equal (M, K)
-shapes, then its label.  A fault re-reads the file record by record, so
-the first in file order is raised, naming its first bad row.
+shapes, then its label.  The file is read once, so pipes work too.  On a
+fault, the lines already decoded are checked again one record at a time,
+so the first fault in file order is raised, naming its first bad row.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .errors import (
     SimplexError,
     SimplexViolation,
 )
-from .measures import _build_samples, validate_simplex
-from .measures import SecondOrderSample  # noqa: F401 - unused, but bench/tracing.py wraps it here
+from .measures import SecondOrderSample, _build_samples, validate_simplex
 
 __all__ = ["PredictionRecord", "parse_predictions", "write_predictions"]
 
@@ -122,32 +122,22 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
     line (and row) positions; blank lines are skipped.  Bytes that are not
     UTF-8 are read as lone surrogates, so the line holding them is named.
     """
+    lines = []
     try:
-        return _build_records(list(_read_lines(path, renormalize)), renormalize)
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    lines.append(_decode_line(line_no, line, renormalize))
+        return _build_records(lines, renormalize)
     except (Malformed, SimplexViolation, SimplexError) as exc:
         fault = exc
-    for line in _read_lines(path, renormalize):  # one record at a time: the first fault in file order raises
+    for line in lines:  # every line read, one record at a time: the first fault in file order raises
         try:
             _build_records([line], renormalize)
         except SimplexError as exc:
             _raise_first_row_fault(line[0], line[2].tolist(), renormalize)  # every row passes alone: the mean failed
             raise Malformed(line[0], f"the members' mean is off the simplex: {exc}") from exc
     raise fault
-
-
-def _read_lines(path, renormalize: bool):
-    """Yield each non-blank line of ``path`` decoded and checked by :func:`_decode_line`."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    raise Malformed(line_no, f"not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})") from None
-            yield _decode_line(line_no, line, renormalize)
 
 
 #: Most brackets in a line given to orjson, whose recursive build uses about 64 bytes of C stack per
@@ -158,6 +148,12 @@ _ORJSON_MAX_BRACKETS = 4096
 
 def _decode_line(line_no: int, line: str, renormalize: bool) -> tuple:
     """:func:`_parse_line` of ``line`` as ``json.loads`` decodes it, decoded by orjson where the two agree."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise Malformed(line_no, f"not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})") from None
     if line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:
         try:
             payload = orjson.loads(line)

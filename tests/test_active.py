@@ -57,7 +57,7 @@ class TestConfigsAndTypes:
             TabularDataset([[0.0]], [1], 1)
 
     def test_strategy_parse(self):
-        assert AcquisitionStrategy.parse("random").kind == "random"
+        assert AcquisitionStrategy.parse("random") == AcquisitionStrategy.random() == AcquisitionStrategy()
         s = AcquisitionStrategy.parse("zero-one:epistemic")
         assert s.rule is ZERO_ONE and s.component == "epistemic"
         assert AcquisitionStrategy.parse("log").component == "epistemic"

@@ -250,6 +250,9 @@ BAD_CONFIGS = [
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 10**16}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "d": 10**16}}),
     ("active", {"dataset": {"kind": "epistemic_gap", "n_labeled_region": 10**16, "n_gap_region": 4}}),
+    ("active", {"dataset": {"kind": "epistemic_gap", "n_labeled_region": 4, "n_gap_region": 2**63}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": 1e308}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": [[1e308, 0], [-1e308, 0]]}}),
     ("active", {"learner": [5]}),
     ("active", {"learner": {"n_trees": 2.5}}),
     ("active", {"learner": {"n_trees": 1}}),
@@ -261,6 +264,7 @@ BAD_CONFIGS = [
     ("active", {"strategies": [5]}),
     ("active", {"strategies": ["log:bogus"]}),
     ("active", {"strategies": ["bogus"]}),
+    ("active", {"strategies": ["log", "log:epistemic"]}),
     ("active", {"rounds": True}),
     ("active", {"rounds": 1.5}),
     ("active", {"rounds": -1}),
@@ -271,6 +275,7 @@ BAD_CONFIGS = [
 
 
 class TestBadConfigValues:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a user would see the warning on stderr
     @pytest.mark.parametrize("task, override", BAD_CONFIGS, ids=[json.dumps(o) for _, o in BAD_CONFIGS])
     def test_exit_3_without_traceback(self, tmp_path, pred_file, capsys, task, override):
         body = dict(ACTIVE_CONFIG) if task == "active" else {}
@@ -474,6 +479,18 @@ class TestCliPlumbing:
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("second_line", [b'{"id": "b", "samples": [[0.5,\n', b""], ids=["then-bad-json", "alone"])
+    def test_piped_input_names_the_first_fault(self, tmp_path, second_line):
+        # a pipe can be read only once: the first fault in file order must still name its line and row
+        src = Path(uqscore.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "uqscore.cli", "decompose", "--input", "/dev/stdin", "--out-dir", str(tmp_path)],
+            input=b'{"id": "a", "samples": [[0.5, 0.6]]}\n' + second_line,
+            cwd=src, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stderr == b"error: /dev/stdin: line 1, row 1: entries sum to 1.1, not 1\n"
 
     def test_config_that_is_no_object_exits_3(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -150,17 +150,16 @@ class TestRunOod:
             run_ood([SecondOrderSample([[0.5, 0.5]])], [SecondOrderSample([[0.5, 0.5]])], LOG, "mutual")
 
 
-def test_trend_samples_view_the_pool_as_per_row_samples_would():
-    # ood_trend_run's samples share predict_pool's array; each must equal SecondOrderSample(row) bit for bit
-    from uqscore.active import LearnerConfig, TabularDataset, _two_blobs, fit, predict_pool
-    from uqscore.benchmarks import _pool_samples
+@pytest.mark.parametrize("rule", list(ScoringRule))
+def test_pool_scores_equal_per_row_decompose(rule):
+    # ood_trend_run and acquire score predict_pool's array; each value must equal decompose(SecondOrderSample(row))
+    from uqscore.active import LearnerConfig, TabularDataset, _pool_scores, _two_blobs, fit, predict_pool
+    from uqscore.measures import COMPONENTS, decompose
 
     rng = np.random.default_rng(5)
     learner = fit(LearnerConfig(n_trees=12, depth_cap=4), TabularDataset(*_two_blobs(rng, 40, 1.1), 2), seed=5)
-    x = rng.normal(0.0, 3.0, size=(60, 2))
-    samples = _pool_samples(learner, x)
-    assert all(s.matrix.base is not None and not s.mean.probs.flags.writeable for s in samples)
-    for sample, row in zip(samples, predict_pool(learner, x)):
-        want = SecondOrderSample(row)
-        assert sample.matrix.tobytes() == want.matrix.tobytes()
-        assert sample.mean.probs.tobytes() == want.mean.probs.tobytes()
+    pool = predict_pool(learner, rng.normal(0.0, 3.0, size=(60, 2)))
+    triples = [decompose(rule, SecondOrderSample(row)) for row in pool]
+    for component in COMPONENTS:
+        want = np.array([t.component(component) for t in triples])
+        assert _pool_scores(pool, rule, component).tobytes() == want.tobytes()
