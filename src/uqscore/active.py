@@ -10,8 +10,8 @@ baseline (`make_blobs`) and a benchmark whose unlabeled pool hides a
 region the initial labels never cover (`make_epistemic_gap`).
 
 The ensemble is one flat node table, grown for all trees at once, breadth
-first, and read by descending every (input, tree) pair one level per step
-(see :class:`EnsembleLearner`); its per-tree node objects are derived views.
+first, and read by flat 1-D gathers that descend every (input, tree) pair
+a level per step (see :class:`EnsembleLearner`); its tree objects are views.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
     onehot = np.eye(k)[y]
     # per-feature rank of every row, ties in row order: sorting rows by
     # (node, rank) sorts each node's rows stably by value
-    rank = np.argsort(np.argsort(x, axis=0, kind="stable"), axis=0, kind="stable")
+    rank = np.empty((m * n, train.d), dtype=np.intp)  # each column inverts its stable sort order
+    np.put_along_axis(rank, np.argsort(x, axis=0, kind="stable"), np.arange(m * n)[:, None], axis=0)
     rows = np.arange(m * n)  # rows of the open nodes, in no particular order
     seg = np.repeat(np.arange(m), n)  # open-node index of each row
     s, first_id, levels = m, 0, []
@@ -260,24 +261,36 @@ def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
     """All member predictions for a batch: a point-major (n, M, K) array, so a reduction
     over one input's members adds in the same order as for one ``SecondOrderSample``.
 
-    Every (input, tree) pair descends one level per step, all at once; a
-    leaf routes to itself (its feature -1 reads an arbitrary column).
+    Every (input, tree) pair descends one level per step, all at once, by 1-D gathers over
+    flat node ids; a leaf routes to itself (feature -1 reads any value, NaN threshold is false).
     """
     if x.ndim != 2 or x.shape[1] != learner.d:
         raise DimensionMismatch(f"inputs must be (n, {learner.d})")
-    node = np.broadcast_to(np.arange(learner.n_trees), (x.shape[0], learner.n_trees))
-    point = np.arange(x.shape[0])[:, None]
-    for _ in range(learner.depth):
-        go_left = x[point, learner.feature[node]] <= learner.threshold[node]
-        node = np.where(go_left, learner.left[node], learner.right[node])
-    return learner.leaf[node]
+    n, m = x.shape[0], learner.n_trees
+    values = np.ascontiguousarray(x).ravel()
+    child = np.column_stack([learner.right, learner.left]).ravel()  # so node i steps to 2i + (value <= threshold)
+    node = np.tile(np.arange(m), n)  # pair (i, j) at i * m + j
+    offset = np.repeat(np.arange(0, n * learner.d, learner.d), m)  # where pair (i, j)'s row starts in values
+    index, value, go_left = np.empty_like(node), np.empty(node.size), np.empty(node.size, dtype=bool)
+    threshold = index.view(np.float64)  # index's buffer, free between the value gather and the next step
+    for _ in range(learner.depth):  # mode="clip": "raise" buffers out; ids are in range but a leaf's -1 at point 0
+        np.take(learner.feature, node, out=index, mode="clip")
+        index += offset
+        np.take(values, index, out=value, mode="clip")
+        np.take(learner.threshold, node, out=threshold, mode="clip")
+        np.less_equal(value, threshold, out=go_left)
+        np.multiply(node, 2, out=index)
+        index += go_left
+        np.take(child, index, out=node, mode="clip")
+    del index, value, threshold, go_left, offset  # only node and the result stay alive
+    return np.take(learner.leaf, node, axis=0).reshape(n, m, learner.leaf.shape[1])
 
 
 def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
     """Per-tree leaf distributions of every row of ``x``: a read-only (n, M, K) array.
 
     Row i is the belief about input i, members in tree order: copies of
-    leaf rows :func:`fit` checked, clipped as ``SecondOrderSample(row)`` would.
+    leaf rows :func:`fit` checked, in [0, 1] by construction: not checked or clipped again.
     """
     pool = _member_stack(learner, np.asarray(x, dtype=np.float64))
     _build_beliefs(pool, check_members=False)

@@ -119,10 +119,10 @@ def _load_records(path: str, renormalize: bool):
 def cmd_decompose(args: argparse.Namespace) -> int:
     path = _need(args, "input", "--input")
     rules = list(ScoringRule) if args.rule == "all" else [_parse_rule(args.rule)]
-    out_path = _out_dir(args) / "decompose.jsonl"
     records = _load_records(path, args.renormalize)
     triples = _decompose_samples(rules, [rec.sample for rec in records]).transpose(2, 0, 1).tolist()
     rule_texts = [f', "rule": "{rule}", "total": ' for rule in rules]
+    out_path = _out_dir(args) / "decompose.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
         for rec, rec_triples in zip(records, triples):
             id_text = '{"id": ' + json.dumps(rec.id)
@@ -142,7 +142,6 @@ def cmd_selective(args: argparse.Namespace) -> int:
     component = check_component(args.component)
     if args.direction not in ("ascending", "descending"):
         raise BadConfig(f"unknown direction {args.direction!r}")
-    out_dir = _out_dir(args)
     records = _load_records(path, args.renormalize)
     labels = require_labels(records)
     result = run_selective_prediction(
@@ -152,6 +151,7 @@ def cmd_selective(args: argparse.Namespace) -> int:
         component=component,
         descending=args.direction == "descending",
     )
+    out_dir = _out_dir(args)
     curve_path = out_dir / "selective_curve.csv"
     with open(curve_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -173,7 +173,6 @@ def cmd_ood(args: argparse.Namespace) -> int:
     ood_path = _need(args, "input_ood", "--input-ood")
     rule = _parse_rule(args.rule)
     component = check_component(args.component)
-    out_path = _out_dir(args) / "ood.json"
     id_records = _load_records(id_path, args.renormalize)
     ood_records = _load_records(ood_path, args.renormalize)
     result = run_ood(
@@ -182,6 +181,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
         rule,
         component,
     )
+    out_path = _out_dir(args) / "ood.json"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(
             f'{{"auroc": {_fmt_real(result.auroc)}, "n_id": {result.n_id}, '
@@ -230,7 +230,6 @@ def cmd_active(args: argparse.Namespace) -> int:
         raise BadConfig("seed must be >= 0")
     dataset = _need(args, "dataset", "a dataset section in --config")
     strategy_names = _need(args, "strategies", "a strategies list in --config")
-    out_dir = _out_dir(args)
     data, split = _build_active_problem(dataset, seed)
     try:
         learner_cfg = al.LearnerConfig(**args.learner)
@@ -245,7 +244,7 @@ def cmd_active(args: argparse.Namespace) -> int:
         trace = al.run_active_learning(
             data, split, learner_cfg, strategy, rounds=args.rounds, batch=args.batch, seed=seed
         )
-        path = out_dir / f"active_trace_{strategy.label}.csv"
+        path = _out_dir(args) / f"active_trace_{strategy.label}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "labeled_count", "test_zero_one_loss"])

@@ -143,17 +143,19 @@ def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarra
     """Check, clip, average and freeze (..., M, K) member rows in place; returns their checked (..., K) means.
 
     The one belief build, for :class:`SecondOrderSample`, parsed files and the active-learning pool.
+    ``check_members=False`` takes rows known to lie on the simplex in [0, 1], as the pool's copies
+    of the leaf rows ``fit`` checked do, and neither checks nor clips them.
     """
     k = members.shape[-1]
     if check_members:
         _check_simplex_rows(members.reshape(math.prod(members.shape[:-1]), k))
-    np.clip(members, 0.0, 1.0, out=members)  # float-noise entries within tolerance
+        np.clip(members, 0.0, 1.0, out=members)  # float-noise entries within tolerance
     means = members.mean(axis=-2)
     # Subnormal member entries can average to exactly zero; drop such
     # dust so a zero mean entry always implies all-zero member entries
     # (which keeps every divergence finite).
-    underflow = (means == 0.0) & (members > 0.0).any(axis=-2)
-    if underflow.any():
+    if (means == 0.0).any():  # rarely true, and the dust search reads every member entry
+        underflow = (means == 0.0) & (members > 0.0).any(axis=-2)
         np.copyto(members, 0.0, where=underflow[..., None, :])
     _check_simplex_rows(means.reshape(-1, k))
     members.setflags(write=False)
@@ -351,8 +353,8 @@ def _divergence_brier(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _divergence_zero_one(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    hit = np.argmax(p, axis=-1)[..., None] == np.arange(p.shape[-1])  # one-hot argmax of p
-    return t.max(axis=-1) - t.max(axis=-1, where=hit, initial=-np.inf)  # t at that argmax, read exactly
+    at_argmax = np.take_along_axis(t, np.argmax(p, axis=-1)[..., None], axis=-1)[..., 0]  # t at p's argmax
+    return t.max(axis=-1) - at_argmax
 
 
 def _divergence_spherical(p: np.ndarray, t: np.ndarray) -> np.ndarray:

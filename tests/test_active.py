@@ -369,6 +369,25 @@ class TestFlatEnsembleOracle:
             assert learner.feature.size == sum(nodes), case
             assert [count_nodes(root) for root in learner.trees] == nodes, case
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "no rows"])
+    def test_probe_layouts_match_c_order(self, layout):
+        # the descent reads x as one flat C-ordered array, so any other layout must be copied first
+        for case in range(0, 40, 2):
+            train, probe, cfg = fuzz_case(case)
+            learner = fit(cfg, train, seed=case)
+            if layout == "fortran":
+                x = np.asfortranarray(probe)
+            elif layout == "strided":
+                wide = np.full((probe.shape[0], 3 * probe.shape[1]), np.nan)
+                wide[:, 1::3] = probe
+                x = wide[:, 1::3]
+            else:
+                x = probe[:0]
+            want = ref_predict(ref_fit(cfg, train, case), x, train.k)
+            assert np.array_equal(_member_stack(learner, np.ascontiguousarray(x)), want), case
+            assert np.array_equal(_member_stack(learner, x), want), case
+            assert np.array_equal(predict_pool(learner, x), want), case
+
     def test_trees_are_views_of_the_flat_model(self):
         data = make_blobs(3, 20, d=2, spread=0.5, centers_seed=2, noise_seed=3)
         learner = fit(LearnerConfig(n_trees=4, depth_cap=3), data, seed=1)

@@ -410,6 +410,24 @@ class TestCliPlumbing:
     def test_unknown_input_file_exit_3(self, tmp_path):
         assert main(["decompose", "--input", str(tmp_path / "nope.jsonl")]) == 3
 
+    @pytest.mark.parametrize("task", ["decompose", "selective", "ood", "active"])
+    def test_failed_run_makes_no_out_dir(self, tmp_path, pred_file, capsys, task):
+        # the output directory is made right before the first write, so a run that exits 3 makes none
+        missing = str(tmp_path / "nonexistent.jsonl")
+        unlabeled = tmp_path / "unlabeled.jsonl"
+        write_predictions_file(unlabeled, ['{"id": "a", "samples": [[0.5, 0.5]]}'])
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(ACTIVE_CONFIG, dataset={"kind": "moons"})))
+        argv = {
+            "decompose": ["--input", missing],
+            "selective": ["--input", str(unlabeled)],
+            "ood": ["--input", str(pred_file), "--input-ood", missing],
+            "active": ["--config", str(config), "--seed", "1"],
+        }[task]
+        assert main([task, *argv, "--out-dir", str(tmp_path / "fresh" / "deep")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fresh").exists()
+
     def test_config_overrides_flags(self, tmp_path, pred_file):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rule": "brier"}))

@@ -125,6 +125,16 @@ class TestSecondOrderSample:
         assert s.mean.probs[2] == 0.0
         assert np.all(s.matrix[:, 2] == 0.0)
 
+    def test_subnormal_dust_averaging_to_zero_is_dropped(self):
+        # half the smallest subnormal rounds to a zero mean, so the member entry goes too
+        s = SecondOrderSample([[1.0, 5e-324], [1.0, 0.0]])
+        assert s.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        assert s.mean.probs.tolist() == [1.0, 0.0]
+        # dust whose mean is not zero stays
+        s = SecondOrderSample([[1.0, 5e-324], [1.0, 5e-324]])
+        assert s.matrix.tolist() == [[1.0, 5e-324], [1.0, 5e-324]]
+        assert s.mean.probs.tolist() == [1.0, 5e-324]
+
 
 class TestLoss:
     def test_log_uniform(self):
@@ -239,6 +249,34 @@ class TestDivergence:
             assert divergence(rule, prediction, truth) >= -1e-12
             # expected loss is minimized by telling the truth
             assert expected_loss(rule, truth, truth) <= expected_loss(rule, prediction, truth) + 1e-12
+
+
+def masked_max_zero_one(p, t):
+    """The zero-one divergence read as a max over K masked to p's argmax: the oracle for the kernel's gather."""
+    hit = np.argmax(p, axis=-1)[..., None] == np.arange(p.shape[-1])
+    return t.max(axis=-1) - t.max(axis=-1, where=hit, initial=-np.inf)
+
+
+class TestZeroOneDivergenceKernel:
+    @pytest.mark.parametrize("k", [2, 3, 10, 257, 1000])
+    def test_equals_the_masked_max_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        n = 30
+        members = rng.dirichlet(np.full(k, 0.5), size=(n, 5))
+        members[::3, :, k // 2 :] = 0.0  # exact zeros in a third of the beliefs, and one -0.0 in another third
+        members[1::3, 0, -1] = -0.0
+        means = members.mean(axis=-2)
+        tied = means.copy()  # each row's top mean copied to another class: the first index must win
+        top = tied.argmax(axis=-1)
+        other = (top + rng.integers(1, k, size=n)) % k
+        tied[np.arange(n), other] = tied[np.arange(n), top]
+        for p in (means, tied):
+            got = measures._divergence_zero_one(p[..., None, :], members)
+            want = masked_max_zero_one(p[..., None, :], members)
+            assert got.shape == want.shape == (n, 5) and got.tobytes() == want.tobytes()
+            for i in range(n):  # one pair of distributions, as divergence() passes them
+                got = measures._divergence_zero_one(p[i], members[i, 1])
+                assert got.tobytes() == masked_max_zero_one(p[i], members[i, 1]).tobytes()
 
 
 class TestDecompose:

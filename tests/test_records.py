@@ -40,6 +40,21 @@ class TestParse:
         assert rec.id == "a" and rec.label is None
         assert rec.sample.m == 1 and rec.sample.k == 2
 
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_subnormal_dust_averaging_to_zero_is_dropped_per_record(self, tmp_path, renormalize):
+        # one (2, 2) chunk: only the record whose mean entry rounds to zero loses its dust
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [
+            '{"id": "dust", "samples": [[1.0, 5e-324], [1.0, 0.0]]}',
+            '{"id": "kept", "samples": [[1.0, 5e-324], [1.0, 5e-324]]}',
+            '{"id": "plain", "samples": [[0.5, 0.5], [0.25, 0.75]]}',
+        ])
+        dust, kept, plain = (rec.sample for rec in parse_predictions(path, renormalize=renormalize))
+        assert dust.matrix.tolist() == SecondOrderSample([[1.0, 5e-324], [1.0, 0.0]]).matrix.tolist()
+        assert dust.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]] and dust.mean.probs.tolist() == [1.0, 0.0]
+        assert kept.matrix.tolist() == [[1.0, 5e-324], [1.0, 5e-324]]
+        assert plain.matrix.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+
     def test_order_preserved_and_varying_shapes(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_lines(
