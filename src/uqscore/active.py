@@ -26,6 +26,8 @@ from .errors import (
     BatchTooLarge,
     DimensionMismatch,
     EmptyTrain,
+    LabelOutOfRange,
+    LengthMismatch,
     SplitOverlap,
 )
 from .measures import COMPONENTS, ScoringRule, check_component
@@ -169,37 +171,45 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
     Per-tree sampling streams are spawned from ``seed`` in tree order, so
     refitting with the same configuration, data, and seed reproduces the
     model exactly.  All trees grow together, breadth first: at each depth,
-    one sorted pass per feature over the rows of every open node scores
-    every split by weighted Gini impurity.  Within a node the cheapest
-    threshold wins, ties going to the smallest threshold, then to the
-    smallest feature index.  Thresholds are midpoints between consecutive
-    distinct values, nudged back onto the lower value when the midpoint
-    rounds up to the higher one, so the train-time partition matches the
-    ``x <= t`` predicate.
+    one sorted pass per feature over the distinct drawn rows of every open
+    node, each weighted by its draw count, scores every split by weighted
+    Gini impurity.  The splits are those of growing on every draw: a split
+    can only fall between distinct values, where the weighted counts are
+    the same integers.  Within a node the cheapest threshold wins, ties
+    going to the smallest threshold, then to the smallest feature index.
+    Thresholds are midpoints between consecutive distinct values, nudged
+    back onto the lower value when the midpoint rounds up to the higher
+    one, so the train-time partition matches the ``x <= t`` predicate.
     """
     if train.n == 0:
         raise EmptyTrain("cannot fit on an empty training set")
     n, k, m, min_leaf = train.n, train.k, config.n_trees, config.min_leaf
+    if not np.isfinite(k * config.alpha):  # every leaf's denominator would be inf
+        raise BadConfig(f"alpha {config.alpha!r} times K = {k} classes is not finite")
     try:  # allocate first: spawning one stream per tree for a huge m would run on with no error
-        boot = np.empty((m, n), dtype=np.int64)
+        drawn = np.empty((m, n), dtype=np.intp)
     except (MemoryError, ValueError) as exc:
         raise BadConfig(f"{m} trees of {n} bootstrap rows do not fit in memory") from exc
-    for row, child in zip(boot, np.random.SeedSequence(seed).spawn(m)):
-        row[:] = np.random.default_rng(child).integers(0, n, size=n)
-    boot = boot.ravel()
-    x = train.features[boot]  # tree-major bootstrap rows
-    y = train.labels[boot] - 1
-    onehot = np.eye(k)[y]
+    for row, child in zip(drawn, np.random.SeedSequence(seed).spawn(m)):
+        row[:] = np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
+    pair = np.flatnonzero(drawn)  # tree * n + training row of each drawn row, tree-major
+    w = drawn.ravel()[pair].astype(np.float64)  # draw counts: every weighted sum is an exact integer
+    rows_n, src = pair.size, pair % n
+    xt = np.ascontiguousarray(train.features[src].T)  # (d, rows): one contiguous row per feature
+    y = train.labels[src] - 1
+    table = np.eye(k + 1)[y] * w[:, None]  # weighted one-hot labels, then the weight, so cumsums give left_n
+    table[:, k] = w
     # per-feature rank of every row, ties in row order: sorting rows by
     # (node, rank) sorts each node's rows stably by value
-    rank = np.empty((m * n, train.d), dtype=np.intp)  # each column inverts its stable sort order
-    np.put_along_axis(rank, np.argsort(x, axis=0, kind="stable"), np.arange(m * n)[:, None], axis=0)
-    rows = np.arange(m * n)  # rows of the open nodes, in no particular order
-    seg = np.repeat(np.arange(m), n)  # open-node index of each row
+    rank = np.empty((train.d, rows_n), dtype=np.intp)  # each row inverts its stable sort order
+    np.put_along_axis(rank, np.argsort(xt, axis=1, kind="stable"), np.arange(rows_n)[None, :], axis=1)
+    rows = np.arange(rows_n)  # rows of the open nodes, in no particular order
+    seg = pair // n  # open-node index of each row
     s, first_id, levels = m, 0, []
     while True:
-        counts = np.bincount(seg * k + y[rows], minlength=s * k).reshape(s, k)
-        size = np.bincount(seg, minlength=s)
+        weight = np.take(w, rows)
+        counts = np.bincount(seg * k + np.take(y, rows), weights=weight, minlength=s * k).reshape(s, k)
+        size = np.bincount(seg, weights=weight, minlength=s)
         left = first_id + np.arange(s)
         feature, threshold, right = np.full(s, -1), np.full(s, np.nan), left.copy()
         levels.append((feature, threshold, left, right, (counts + config.alpha) / (size + k * config.alpha)[:, None]))
@@ -209,32 +219,34 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
             break
         keep = open_[seg]
         r, sg = rows[keep], (np.cumsum(open_) - 1)[seg[keep]]
-        cnt = size[open_]
+        cnt = np.bincount(sg)  # distinct rows per open node: two classes, so at least two
         st = np.cumsum(cnt) - cnt
-        last = st + cnt - 1
-        pos = np.delete(np.arange(r.size), last)  # split after pos: each node's rows but its last
+        pos = np.delete(np.arange(r.size), st + cnt - 1)  # split after pos: each node's rows but its last
         psg = np.repeat(np.arange(cnt.size), cnt - 1)
-        left_n = (pos - st[psg] + 1).astype(np.float64)
-        right_n = cnt[psg] - left_n
+        total = np.take(size[open_], psg)
+        node_counts = np.take(counts[open_], psg, axis=0)
         first = st - np.arange(cnt.size)  # each node's first position
         best_cost = np.full(cnt.size, np.inf)
         best_f = np.full(cnt.size, -1)
         best_thr = np.zeros(cnt.size)
         for f in range(train.d):
-            rs = r[np.argsort(sg * x.shape[0] + rank[r, f])]
-            sv = x[rs, f]
-            cum = np.cumsum(onehot[rs], axis=0)  # exact integer counts
-            before = cum[st - 1]  # counts before each node's first row
+            rs = r[np.argsort(sg * rows_n + np.take(rank[f], r))]
+            sv = np.take(xt[f], rs)
+            cum = np.cumsum(np.take(table, rs, axis=0), axis=0)  # exact integer sums
+            before = np.take(cum, st - 1, axis=0)  # sums before each node's first row
             before[0] = 0.0
-            cl = cum[pos] - before[psg]
-            cr = (cum[last] - before)[psg] - cl
+            cl = np.take(cum, pos, axis=0) - np.take(before, psg, axis=0)
+            left_n = cl[:, k]
+            right_n = total - left_n
+            cl = cl[:, :k]
             gini_l = 1.0 - np.square(cl / left_n[:, None]).sum(axis=1)
-            gini_r = 1.0 - np.square(cr / right_n[:, None]).sum(axis=1)
-            cost = (left_n * gini_l + right_n * gini_r) / cnt[psg]
-            valid = (sv[pos] < sv[pos + 1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+            gini_r = 1.0 - np.square((node_counts - cl) / right_n[:, None]).sum(axis=1)
+            cost = (left_n * gini_l + right_n * gini_r) / total
+            valid = (np.take(sv, pos) < np.take(sv, pos + 1)) & (left_n >= min_leaf) & (right_n >= min_leaf)
             cost = np.where(valid, cost, np.inf)
             low = np.minimum.reduceat(cost, first)
-            i = pos[np.minimum.reduceat(np.where(cost == low[psg], np.arange(pos.size), pos.size), first)]
+            at_low = np.where(cost == np.take(low, psg), np.arange(pos.size), pos.size)
+            i = np.take(pos, np.minimum.reduceat(at_low, first))
             better = low < best_cost
             lo, hi = sv[i[better]], sv[i[better] + 1]
             thr = (lo + hi) / 2.0
@@ -250,7 +262,7 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
         right[node] = left[node] + 1
         moving = split[sg]
         rows, sg = r[moving], sg[moving]
-        seg = 2 * (np.cumsum(split) - 1)[sg] + ~(x[rows, best_f[sg]] <= best_thr[sg])
+        seg = 2 * (np.cumsum(split) - 1)[sg] + ~(np.take(xt, best_f[sg] * rows_n + rows) <= best_thr[sg])
         s = 2 * node.size
     feature, threshold, left, right, leaf = (np.concatenate(parts) for parts in zip(*levels))
     _check_simplex_rows(leaf)  # once per fit: predict_pool only gathers copies of these rows
@@ -298,10 +310,15 @@ def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
 
 
 def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean argmax-mismatch of the averaged prediction (1-based labels)."""
+    """Mean argmax-mismatch of the averaged prediction; ``labels`` holds one integer in 1..K per row of ``x``."""
     stack = _member_stack(learner, np.asarray(x, dtype=np.float64))
+    labels, k = np.asarray(labels), learner.leaf.shape[1]
+    if labels.shape != stack.shape[:1]:
+        raise LengthMismatch(f"labels of shape {labels.shape} for {stack.shape[0]} inputs")
+    if labels.dtype.kind not in "iu" or (labels.size and (labels.min() < 1 or labels.max() > k)):
+        raise LabelOutOfRange(f"labels must be integers in 1..{k}")
     predicted = np.argmax(stack.mean(axis=1), axis=1) + 1
-    return float(np.mean(predicted != np.asarray(labels)))
+    return float(np.mean(predicted != labels))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from uqscore.errors import (
     BatchTooLarge,
     DimensionMismatch,
     EmptyTrain,
+    LabelOutOfRange,
+    LengthMismatch,
     SplitOverlap,
 )
 from uqscore.measures import COMPONENTS, ScoringRule, SecondOrderSample, _build_beliefs, decompose
@@ -218,6 +220,24 @@ class TestFitAndPredict:
         with pytest.raises(DimensionMismatch):
             predict_one(learner, [0.0, 0.0])
 
+    @pytest.mark.parametrize("n_labels", [1, 5, 39, 41])
+    def test_zero_one_loss_needs_one_label_per_input(self, n_labels):
+        data = make_blobs(2, 20, d=2, spread=0.6, centers_seed=1, noise_seed=2)
+        learner = fit(LearnerConfig(n_trees=3, depth_cap=2), data, seed=0)
+        with pytest.raises(LengthMismatch):
+            ensemble_zero_one_loss(learner, data.features, np.resize(data.labels, n_labels))
+        with pytest.raises(LengthMismatch):
+            ensemble_zero_one_loss(learner, data.features, data.labels[:, None])
+
+    @pytest.mark.parametrize("bad", [0, 3, -1, 1.0])
+    def test_zero_one_loss_rejects_labels_outside_1_to_k(self, bad):
+        data = make_blobs(2, 20, d=2, spread=0.6, centers_seed=1, noise_seed=2)
+        learner = fit(LearnerConfig(n_trees=3, depth_cap=2), data, seed=0)
+        labels = data.labels.tolist()
+        labels[7] = bad
+        with pytest.raises(LabelOutOfRange):
+            ensemble_zero_one_loss(learner, data.features, labels)
+
     def test_identical_members_when_data_is_one_class(self):
         # bootstrap cannot change a single-class sample: all leaves agree
         data = TabularDataset(np.zeros((6, 1)), [1] * 6, 2)
@@ -333,6 +353,19 @@ def count_nodes(node):
     return 1 if node.left is None else 1 + count_nodes(node.left) + count_nodes(node.right)
 
 
+def assert_same_nodes(got, want, case):
+    """Walk two trees side by side: the same features, threshold bits, shape and leaf rows."""
+    stack = [(got, want)]
+    while stack:
+        a, b = stack.pop()
+        assert a.feature == b.feature, case
+        if a.feature is None:
+            assert np.array_equal(a.dist, b.dist), case
+        else:
+            assert np.float64(a.threshold).tobytes() == np.float64(b.threshold).tobytes(), case
+            stack += [(a.left, b.left), (a.right, b.right)]
+
+
 def fuzz_case(case):
     """Labels, tied features, a probe set and a config, all drawn from ``case``."""
     rng = np.random.default_rng(case)
@@ -351,6 +384,9 @@ def fuzz_case(case):
         min_leaf=int(rng.integers(1, 4)),
         alpha=float(rng.choice([0.0, 0.5, 1.0])),
     )
+    if case % 4 == 1:  # every row listed several times: tied groups of equal rows weigh 3 or more draws
+        repeats = int(rng.integers(2, 5))
+        features, labels = np.repeat(features, repeats, axis=0), np.repeat(labels, repeats)
     return TabularDataset(features, labels, k), probe, cfg
 
 
@@ -365,9 +401,9 @@ class TestFlatEnsembleOracle:
             assert np.array_equal(_member_stack(learner, probe), want), case
             _build_beliefs(want)
             assert np.array_equal(predict_pool(learner, probe), want), case
-            nodes = [count_nodes(root) for root in trees]
-            assert learner.feature.size == sum(nodes), case
-            assert [count_nodes(root) for root in learner.trees] == nodes, case
+            assert learner.feature.size == sum(count_nodes(root) for root in trees), case
+            for got, root in zip(learner.trees, trees, strict=True):
+                assert_same_nodes(got, root, case)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "no rows"])
     def test_probe_layouts_match_c_order(self, layout):

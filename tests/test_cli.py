@@ -291,6 +291,13 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_overflowing_alpha_is_named(self, tmp_path, capsys):
+        # K * alpha overflows to inf, which would zero every leaf row
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(ACTIVE_CONFIG, learner={"alpha": 1e308})))
+        assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        assert "alpha" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["n_initial", "n_test"])
     def test_negative_blobs_size_is_named(self, tmp_path, capsys, key):
         body = dict(ACTIVE_CONFIG, dataset={"kind": "blobs", "k": 2, "n_per_class": 20, key: -5})
