@@ -26,11 +26,10 @@ from .errors import (
     BatchTooLarge,
     DimensionMismatch,
     EmptyTrain,
-    LabelOutOfRange,
     LengthMismatch,
     SplitOverlap,
 )
-from .measures import COMPONENTS, ScoringRule, check_component
+from .measures import COMPONENTS, ScoringRule, _check_labels, _loss_arrays, check_component
 from .measures import _build_beliefs, _check_simplex_rows, _check_triples, _decompose_arrays
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
 
@@ -52,27 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TabularDataset:
-    """Feature matrix plus 1-based class labels."""
+    """Feature matrix plus 1-based class labels, which must pass the package's one label rule."""
 
     features: np.ndarray
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.intp)
+        x = np.array(self.features, dtype=np.float64)  # a copy
         if x.ndim != 2 or x.shape[1] < 1:
             raise BadConfig("features must be an (n, d) matrix with d >= 1")
         if not np.isfinite(x).all():
             raise BadConfig("features must be finite")
-        if y.shape != (x.shape[0],):
+        if np.shape(self.labels) != (x.shape[0],):
             raise BadConfig("labels must be one class index per feature row")
         if self.k < 2:
             raise BadConfig("need at least two classes")
-        if y.size and (y.min() < 1 or y.max() > self.k):
-            raise BadConfig(f"labels must lie in 1..{self.k}")
-        x = x.copy()
-        y = y.copy()
+        y = _check_labels(self.labels, self.k)  # a new array
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", x)
@@ -310,15 +305,11 @@ def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
 
 
 def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean argmax-mismatch of the averaged prediction; ``labels`` holds one integer in 1..K per row of ``x``."""
+    """Mean zero-one loss of the averaged prediction, from the loss core; one label per row of ``x``."""
     stack = _member_stack(learner, np.asarray(x, dtype=np.float64))
-    labels, k = np.asarray(labels), learner.leaf.shape[1]
-    if labels.shape != stack.shape[:1]:
-        raise LengthMismatch(f"labels of shape {labels.shape} for {stack.shape[0]} inputs")
-    if labels.dtype.kind not in "iu" or (labels.size and (labels.min() < 1 or labels.max() > k)):
-        raise LabelOutOfRange(f"labels must be integers in 1..{k}")
-    predicted = np.argmax(stack.mean(axis=1), axis=1) + 1
-    return float(np.mean(predicted != labels))
+    if np.shape(labels) != stack.shape[:1]:
+        raise LengthMismatch(f"labels of shape {np.shape(labels)} for {stack.shape[0]} inputs")
+    return float(np.mean(_loss_arrays(ScoringRule.ZERO_ONE, stack.mean(axis=1), labels)))
 
 
 # ---------------------------------------------------------------------------

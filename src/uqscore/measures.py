@@ -381,33 +381,49 @@ _DIVERGENCE_KERNELS = {
 # ---------------------------------------------------------------------------
 
 
-def loss(rule: ScoringRule, prediction: CategoricalDistribution, label: int) -> float:
-    """Pointwise loss of predicting ``prediction`` when class ``label`` occurs.
+def _check_labels(labels, k: int) -> np.ndarray:
+    """The one label rule: 1-based labels, an array or an iterable, as an intp array; checked in order.
 
-    Labels are 1-based.  The log loss returns ``+inf`` when the predicted
-    probability of the realized label is exactly zero; no epsilon clamping
-    happens here (use ``validate_simplex(..., renormalize=True)`` upstream
-    if clamped inputs are wanted).
+    Integer dtypes and ints of any size pass (object arrays hold ints past 64 bits); bools, floats,
+    strings, ``None`` and sequences do not, and each label lies in 1..k.  Shapes are the caller's.
     """
-    p = prediction.probs
-    k = p.shape[0]
-    if not isinstance(label, (int, np.integer)) or not 1 <= label <= k:
-        raise LabelOutOfRange(f"label {label!r} not in 1..{k}")
-    y = label - 1
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu" and ((labels >= 1) & (labels <= k)).all():
+        return labels.astype(np.intp)  # the common case, without a walk
+    items = labels.ravel().tolist() if isinstance(labels, np.ndarray) else list(labels)
+    for y in items:
+        if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
+            raise LabelOutOfRange(f"label {y!r} is not an integer")
+        if not 1 <= y <= k:
+            raise LabelOutOfRange(f"label {y} not in 1..{k}")
+    return np.array(items, dtype=np.intp)
+
+
+def _loss_arrays(rule: ScoringRule, probs: np.ndarray, labels) -> np.ndarray:
+    """Pointwise loss of each checked (..., K) row of ``probs`` at its 1-based label: the one loss body.
+
+    Log is glibc's ``log``, as ``math.log`` is (``+inf`` at zero); spherical takes each row's norm from its
+    own dot product, as ``np.linalg.norm`` of one row does; zero-one's argmax ties go to the smallest index.
+    """
+    y = _check_labels(labels, probs.shape[-1])[..., None] - 1
+    p_y = np.take_along_axis(probs, y, axis=-1)[..., 0]
     if rule is ScoringRule.LOG:
-        py = p[y]
-        return math.inf if py == 0.0 else -math.log(py)
+        return -xlogy(1.0, p_y)
     if rule is ScoringRule.BRIER:
-        diff = p.copy()
-        diff[y] -= 1.0
-        return float(np.square(diff).sum())
+        diff = probs.copy()
+        np.put_along_axis(diff, y, p_y[..., None] - 1.0, axis=-1)
+        return np.square(diff, out=diff).sum(axis=-1)
     if rule is ScoringRule.ZERO_ONE:
-        # np.argmax breaks ties at the smallest index, matching the tie
-        # policy used by the closed forms and the learners.
-        return 0.0 if int(np.argmax(p)) == y else 1.0
-    if rule is ScoringRule.SPHERICAL:
-        return 1.0 - float(p[y]) / float(np.linalg.norm(p))
-    raise ValueError(f"unknown scoring rule {rule!r}")
+        return (np.argmax(probs, axis=-1) != y[..., 0]).astype(np.float64)
+    return 1.0 - p_y / np.sqrt((probs[..., None, :] @ probs[..., :, None])[..., 0, 0])
+
+
+def loss(rule: ScoringRule, prediction: CategoricalDistribution, label: int) -> float:
+    """Pointwise loss of predicting ``prediction`` when class ``label`` (1-based) occurs: a one-row view of the core.
+
+    The log loss is ``+inf`` when the realized label's predicted probability is exactly zero; nothing is
+    clamped here (use ``validate_simplex(..., renormalize=True)`` upstream if clamped inputs are wanted).
+    """
+    return float(_loss_arrays(rule, prediction.probs[None, :], [label])[0])
 
 
 def _loss_table(rule: ScoringRule, rows: np.ndarray) -> np.ndarray:
@@ -425,9 +441,7 @@ def _loss_table(rule: ScoringRule, rows: np.ndarray) -> np.ndarray:
     if rule is ScoringRule.ZERO_ONE:
         am = np.argmax(rows, axis=1)
         return 1.0 - (am[:, None] == np.arange(k)[None, :]).astype(np.float64)
-    if rule is ScoringRule.SPHERICAL:
-        return 1.0 - rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    raise ValueError(f"unknown scoring rule {rule!r}")
+    return 1.0 - rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def expected_loss(
@@ -435,19 +449,17 @@ def expected_loss(
     prediction: CategoricalDistribution,
     truth: CategoricalDistribution,
 ) -> float:
-    """Expected pointwise loss under labels drawn from ``truth``.
+    """Expected pointwise loss under labels drawn from ``truth``: K losses from one core call, added in label order.
 
     A zero-probability label contributes zero even when its loss is
     infinite (the 0 * inf := 0 convention that keeps entropies finite).
     """
     if prediction.k != truth.k:
         raise DimensionMismatch(f"prediction has K={prediction.k}, truth has K={truth.k}")
+    losses = _loss_arrays(rule, np.broadcast_to(prediction.probs, (truth.k, truth.k)), np.arange(1, truth.k + 1))
     total = 0.0
-    for y in range(1, truth.k + 1):
-        ty = truth.probs[y - 1]
-        if ty == 0.0:
-            continue
-        total += ty * loss(rule, prediction, y)
+    for ty, ly in zip(truth.probs.tolist(), losses.tolist()):
+        total += ty * ly if ty != 0.0 else 0.0  # total is never -0.0, so adding 0.0 keeps its bits
     return total
 
 
@@ -515,6 +527,15 @@ def _decompose_samples(rules: Sequence[ScoringRule], samples: Sequence[SecondOrd
             out[r][:, chunk] = _decompose_arrays(rule, members, means)
     _check_triples(*out.transpose(1, 2, 0).reshape(3, -1))
     return out
+
+
+def _component_scores(rule: ScoringRule, samples: Sequence[SecondOrderSample], component: str) -> np.ndarray:
+    """One component of every sample's :func:`decompose` under ``rule``, checked to share one class count."""
+    check_component(component)
+    ks = {s.k for s in samples}
+    if len(ks) > 1:
+        raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
+    return _decompose_samples([rule], samples)[0, COMPONENTS.index(component)]
 
 
 def generic_triple(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:

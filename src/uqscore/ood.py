@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySide, NonFiniteScore
-from .measures import COMPONENTS, ScoringRule, SecondOrderSample, _decompose_samples, check_component
+from .errors import EmptySide, NonFiniteScore
+from .measures import ScoringRule, SecondOrderSample, _component_scores
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = ["ScoreSplit", "AurocResult", "auroc", "auroc_pairwise", "run_ood"]
@@ -100,9 +100,5 @@ def run_ood(
 
     One batched pass decomposes both lists, per-sample ``decompose`` bit for bit.
     """
-    check_component(component)
-    ks = {s.k for s in id_samples} | {s.k for s in ood_samples}
-    if len(ks) > 1:
-        raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
-    scores = _decompose_samples([rule], list(id_samples) + list(ood_samples))[0, COMPONENTS.index(component)]
+    scores = _component_scores(rule, list(id_samples) + list(ood_samples), component)
     return auroc(ScoreSplit(scores[: len(id_samples)], scores[len(id_samples) :]))

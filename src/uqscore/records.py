@@ -45,14 +45,14 @@ from .errors import (
     SimplexError,
     SimplexViolation,
 )
-from .measures import SecondOrderSample, _build_samples, validate_simplex
+from .measures import SecondOrderSample, _build_samples, _check_labels, validate_simplex
 
 __all__ = ["PredictionRecord", "parse_predictions", "write_predictions"]
 
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One instance: an id, a second-order sample, and an optional label."""
+    """One instance: an id, a second-order sample, and an optional label (the one label rule's, kept as an int)."""
 
     id: str
     sample: SecondOrderSample
@@ -60,10 +60,7 @@ class PredictionRecord:
 
     def __post_init__(self):
         if self.label is not None:
-            if not isinstance(self.label, int) or isinstance(self.label, bool):
-                raise LabelOutOfRange(f"label {self.label!r} is not an integer")
-            if not 1 <= self.label <= self.sample.k:
-                raise LabelOutOfRange(f"label {self.label} not in 1..{self.sample.k}")
+            object.__setattr__(self, "label", int(_check_labels([self.label], self.sample.k)[0]))
 
 
 def _raise_first_row_fault(line_no: int, rows: list, renormalize: bool) -> None:

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch, TooLarge
-from .measures import COMPONENTS, ScoringRule, SecondOrderSample, _decompose_samples, check_component, loss
+from .errors import LengthMismatch, TooLarge
+from .measures import ScoringRule, SecondOrderSample, _component_scores, _loss_arrays
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = [
@@ -86,15 +86,10 @@ def order_by_uncertainty(
     call :meth:`Ordering.reversed` for the most-uncertain-first reading.
     One batched pass gives per-sample ``decompose`` values bit for bit.
     """
-    check_component(component)
-    if len(samples) == 0:
+    values = _component_scores(rule, samples, component)
+    if values.size == 0:
         raise ValueError("cannot order an empty list of samples")
-    ks = {s.k for s in samples}
-    if len(ks) != 1:
-        raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
-    values = _decompose_samples([rule], samples)[0, COMPONENTS.index(component)]
-    perm = np.argsort(values, kind="stable")
-    return Ordering(perm, criterion=f"{rule}:{component}")
+    return Ordering(np.argsort(values, kind="stable"), criterion=f"{rule}:{component}")
 
 
 def harmonic_weights(n: int) -> np.ndarray:
@@ -178,16 +173,15 @@ def run_selective_prediction(
 ) -> AulcResult:
     """Evaluate uncertainty-based rejection on labeled second-order predictions.
 
-    The realized task loss of each instance is the pointwise loss of its
-    member mean (the model average) against the observed label; instances
-    are retained in ascending order of the chosen uncertainty component,
-    or descending when ``descending`` is set.
+    The realized task loss of each instance is the pointwise loss of its member
+    mean (the model average) against the observed label, all from one batched
+    pass of the loss core; instances are retained in ascending order of the
+    chosen uncertainty component, or descending when ``descending`` is set.
     """
     if len(predictions) == 0:
         raise ValueError("need at least one labeled prediction")
-    samples = [s for s, _ in predictions]
-    realized = [loss(task_rule, s.mean, y) for s, y in predictions]
+    samples, labels = zip(*predictions)
     ordering = order_by_uncertainty(samples, uncertainty_rule, component)
     if descending:
         ordering = ordering.reversed()
-    return aulc(realized, ordering)
+    return aulc(_loss_arrays(task_rule, np.array([s.mean.probs for s in samples]), labels), ordering)

@@ -51,7 +51,7 @@ class TestConfigsAndTypes:
             LearnerConfig(alpha=-0.5)
 
     def test_dataset_validation(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(LabelOutOfRange):
             TabularDataset([[0.0]], [3], 2)
         with pytest.raises(BadConfig):
             TabularDataset([[0.0], [1.0]], [1], 2)
@@ -66,6 +66,37 @@ class TestConfigsAndTypes:
         assert AcquisitionStrategy.parse("brier:total").label == "brier-total"
         with pytest.raises(BadConfig):
             AcquisitionStrategy.parse("entropy:epistemic")
+
+
+def out_of_range_split():
+    data = make_blobs(2, 4, d=1, spread=0.5, centers_seed=1, noise_seed=2)
+    run_active_learning(data, ([0, 1], [2, 3], [data.n]), LearnerConfig(), AcquisitionStrategy.random(), 1, 1, 0)
+
+
+#: Error guards no other test reaches: (call, error class, text).
+GUARDS = [
+    (lambda: TabularDataset([0.0, 1.0], [1, 2], 2), BadConfig, "features must be an (n, d) matrix with d >= 1"),
+    (lambda: make_blobs(2, 5, d=0), BadConfig, "need at least one feature"),
+    (
+        lambda: AcquisitionStrategy(rule=LOG),
+        BadConfig,
+        "uncertainty acquisition needs a rule and a component; random takes neither",
+    ),
+    (
+        lambda: acquire(np.zeros((3, 2, 2)), AcquisitionStrategy.random(), -1, np.random.default_rng(0)),
+        BatchTooLarge,
+        "batch must be >= 0",
+    ),
+    (lambda: ActiveLearningTrace([1, 2], [0.5]), ValueError, "trace needs matching 1-d count and loss arrays"),
+    (out_of_range_split, BadConfig, "split indices out of range"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", GUARDS)
+def test_error_guards(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == text
 
 
 class TestMakeBlobs:

@@ -24,6 +24,7 @@ from uqscore.measures import (
     _check_triples,
     _decompose_arrays,
     _decompose_samples,
+    _loss_arrays,
     _loss_table,
     decompose,
     divergence,
@@ -190,6 +191,74 @@ class TestExpectedLoss:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expected_loss(LOG, validate_simplex([0.5, 0.5]), validate_simplex([0.2, 0.3, 0.5]))
+
+
+def per_value_loss(rule, p, label):
+    """The per-value loss body that the batched loss core replaced, kept as its oracle."""
+    y = label - 1
+    if rule is LOG:
+        py = p[y]
+        return math.inf if py == 0.0 else -math.log(py)
+    if rule is BRIER:
+        diff = p.copy()
+        diff[y] -= 1.0
+        return float(np.square(diff).sum())
+    if rule is ZERO_ONE:
+        return 0.0 if int(np.argmax(p)) == y else 1.0
+    return 1.0 - float(p[y]) / float(np.linalg.norm(p))
+
+
+def awkward_rows(rng, k, n):
+    """(n, k) simplex rows: sparse Dirichlet draws, exact zeros in every third, a tied argmax in every fourth."""
+    rows = rng.dirichlet(np.full(k, 0.5), n)
+    for row in rows[::3]:
+        cols = rng.random(k) < 0.3
+        cols[rng.integers(k)] = False
+        row[cols] = 0.0
+    rows[1::4, 0] = rows[1::4, -1] = rows[1::4].max(axis=1)  # the first and the last class tie
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestLossCore:
+    #: (K, rows): 52 000 (row, label) values per rule in all
+    SHAPES = [(2, 3000), (3, 2000), (4, 2000), (10, 1000), (257, 40), (1000, 12)]
+
+    @pytest.mark.parametrize("k, n", SHAPES)
+    def test_equals_the_per_value_loss_bit_for_bit(self, k, n):
+        rng = np.random.default_rng(k)
+        rows = awkward_rows(rng, k, n)
+        # the oracle sees each row as a fresh array, as loss() on a CategoricalDistribution did
+        want = {rule: np.array([[per_value_loss(rule, np.array(row), y) for y in range(1, k + 1)] for row in rows])
+                for rule in RULES}
+        buf = np.empty(n * k + 7)
+        for j in range(k):  # every row meets every label, its buffer shifted by j % 8 values
+            view = buf[j % 8 : j % 8 + n * k].reshape(n, k)
+            view[:] = rows
+            labels = (np.arange(n) + j) % k + 1
+            for rule in RULES:
+                got = _loss_arrays(rule, view, labels)
+                assert got.tobytes() == want[rule][np.arange(n), labels - 1].tobytes(), (rule, j)
+        for i in rng.choice(n, size=min(n, 25), replace=False):
+            prediction, truth = CategoricalDistribution(rows[i]), CategoricalDistribution(rows[(i + 1) % n])
+            for rule in RULES:
+                y = int(rng.integers(1, k + 1))
+                assert np.float64(loss(rule, prediction, y)).tobytes() == want[rule][i, y - 1].tobytes()
+                ref = 0.0  # the old expected_loss: one per-value loss per label, in label order
+                for ty, ly in zip(truth.probs, want[rule][i]):
+                    if ty != 0.0:
+                        ref += ty * ly
+                assert np.float64(expected_loss(rule, prediction, truth)).tobytes() == np.float64(ref).tobytes()
+
+    def test_awkward_rows_hold_zeros_and_ties(self):
+        rows = awkward_rows(np.random.default_rng(10), 10, 1000)
+        assert (rows == 0.0).any(axis=1).sum() > 100
+        assert (rows[:, 0] == rows[:, -1]).sum() > 100
+        assert np.allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_log_is_inf_at_zero_without_a_warning(self):
+        with np.errstate(all="raise"):
+            got = _loss_arrays(LOG, np.array([[1.0, 0.0], [0.5, 0.5]]), [2, 1])
+        assert got[0] == math.inf and got[1] == math.log(2)
 
 
 class TestEntropy:
@@ -489,3 +558,24 @@ class TestLossTable:
                         assert table[i, y - 1] == pytest.approx(
                             loss(rule, member, y), abs=1e-12
                         ) or (math.isinf(table[i, y - 1]) and math.isinf(loss(rule, member, y)))
+
+
+#: Error guards no other test reaches: (call, error class, text).
+GUARDS = [
+    (lambda: CategoricalDistribution([]), SimplexError, "expected a non-empty probability vector"),
+    (lambda: CategoricalDistribution([math.nan, 1.0]), SimplexError, "probabilities must be finite"),
+    (lambda: validate_simplex([]), SimplexError, "expected a non-empty probability vector"),
+    (lambda: SecondOrderSample([0.5, 0.5]), SimplexError, "expected an (M, K) matrix of member distributions"),
+    (
+        lambda: UncertaintyTriple(-1.0, -1.0, 0.0, LOG),
+        InconsistentDecomposition,
+        "uncertainty components must be nonnegative",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, text", GUARDS)
+def test_error_guards(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == text

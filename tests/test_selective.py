@@ -274,3 +274,23 @@ class TestRunSelectivePrediction:
                 via_total = _expected_aulc(samples, truths, t, t, "total")
                 assert via_total >= oracle - 1e-12  # the oracle is optimal
                 assert via_total <= oracle * 1.05
+
+
+#: Error guards no other test reaches: (call, error class, text).
+GUARDS = [
+    (lambda: harmonic_weights(0), ValueError, "need n >= 1"),
+    (lambda: aulc([], Ordering(np.arange(0))), LengthMismatch, "need at least one instance loss"),
+    (lambda: aulc_weighted([0.1, 0.2], Ordering([0])), LengthMismatch, "2 losses vs permutation of 1"),
+    (
+        lambda: run_selective_prediction([], ScoringRule.LOG, ScoringRule.LOG),
+        ValueError,
+        "need at least one labeled prediction",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, text", GUARDS)
+def test_error_guards(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == text
