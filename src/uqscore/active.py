@@ -21,14 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadConfig,
-    BatchTooLarge,
-    DimensionMismatch,
-    EmptyTrain,
-    LengthMismatch,
-    SplitOverlap,
-)
+from .errors import BadConfig, UqscoreError
 from .measures import COMPONENTS, ScoringRule, _check_labels, _loss_arrays, check_component
 from .measures import _build_beliefs, _check_simplex_rows, _check_triples, _decompose_arrays
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
@@ -177,7 +170,7 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
     one, so the train-time partition matches the ``x <= t`` predicate.
     """
     if train.n == 0:
-        raise EmptyTrain("cannot fit on an empty training set")
+        raise BadConfig("cannot fit on an empty training set")
     n, k, m, min_leaf = train.n, train.k, config.n_trees, config.min_leaf
     if not np.isfinite(k * config.alpha):  # every leaf's denominator would be inf
         raise BadConfig(f"alpha {config.alpha!r} times K = {k} classes is not finite")
@@ -272,7 +265,7 @@ def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
     flat node ids; a leaf routes to itself (feature -1 reads any value, NaN threshold is false).
     """
     if x.ndim != 2 or x.shape[1] != learner.d:
-        raise DimensionMismatch(f"inputs must be (n, {learner.d})")
+        raise UqscoreError(f"inputs must be (n, {learner.d})")
     n, m = x.shape[0], learner.n_trees
     values = np.ascontiguousarray(x).ravel()
     child = np.column_stack([learner.right, learner.left]).ravel()  # so node i steps to 2i + (value <= threshold)
@@ -308,7 +301,7 @@ def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.n
     """Mean zero-one loss of the averaged prediction, from the loss core; one label per row of ``x``."""
     stack = _member_stack(learner, np.asarray(x, dtype=np.float64))
     if np.shape(labels) != stack.shape[:1]:
-        raise LengthMismatch(f"labels of shape {np.shape(labels)} for {stack.shape[0]} inputs")
+        raise UqscoreError(f"labels of shape {np.shape(labels)} for {stack.shape[0]} inputs")
     return float(np.mean(_loss_arrays(ScoringRule.ZERO_ONE, stack.mean(axis=1), labels)))
 
 
@@ -503,9 +496,9 @@ def acquire(
     """
     n = len(pool)
     if batch < 0:
-        raise BatchTooLarge("batch must be >= 0")
+        raise BadConfig("batch must be >= 0")
     if batch > n:
-        raise BatchTooLarge(f"batch {batch} exceeds pool size {n}")
+        raise BadConfig(f"batch {batch} exceeds pool size {n}")
     if strategy.rule is None:
         chosen = rng.choice(n, size=batch, replace=False)
         return np.sort(chosen)
@@ -563,7 +556,7 @@ def run_active_learning(
     initial, pool, test = (np.asarray(s, dtype=np.intp) for s in split)
     combined = np.concatenate([initial, pool, test])
     if np.unique(combined).size != combined.size:
-        raise SplitOverlap("initial, pool, and test index sets must be disjoint")
+        raise BadConfig("initial, pool, and test index sets must be disjoint")
     if combined.size and (combined.min() < 0 or combined.max() >= data.n):
         raise BadConfig("split indices out of range")
     if test.size == 0:
@@ -573,7 +566,7 @@ def run_active_learning(
     if rounds > 0 and batch < 1:
         raise BadConfig("need a positive batch size when acquiring")
     if rounds * batch > pool.size:
-        raise BatchTooLarge(f"{rounds} rounds of {batch} exceed the pool of {pool.size}")
+        raise BadConfig(f"{rounds} rounds of {batch} exceed the pool of {pool.size}")
 
     labeled = np.sort(initial)
     pool_left = np.sort(pool)

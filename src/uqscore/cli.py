@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import active as al
-from .errors import BadConfig, EmptyInput, Malformed, SimplexViolation, UqscoreError
+from .errors import BadConfig, Malformed, UqscoreError
 from .measures import COMPONENTS, ScoringRule, _decompose_samples, check_component
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 from .ood import run_ood
@@ -108,11 +108,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _load_records(path: str, renormalize: bool):
     try:
         records = parse_predictions(Path(path), renormalize=renormalize)
-    except (Malformed, SimplexViolation) as exc:
+    except Malformed as exc:
         exc.args = (f"{path}: {exc}",)  # ood reads two files; name the bad one
         raise
     if not records:
-        raise EmptyInput(f"{path} holds no records")
+        raise UqscoreError(f"{path} holds no records")
     return records
 
 

@@ -27,16 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .errors import (
-    BadConfig,
-    DimensionMismatch,
-    InconsistentDecomposition,
-    LabelOutOfRange,
-    NegativeEntry,
-    NotNormalized,
-    SimplexError,
-    ZeroMass,
-)
+from .errors import BadConfig, InconsistentDecomposition, LabelOutOfRange, SimplexError, UqscoreError
 
 __all__ = [
     "SIMPLEX_TOLERANCE",
@@ -130,13 +121,13 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
     if not np.all(np.isfinite(rows)):
         raise SimplexError("probabilities must be finite")
     if np.any(rows < -1e-12):
-        raise NegativeEntry(f"negative entry {float(rows.min())!r}")
+        raise SimplexError(f"negative entry {float(rows.min())!r}")
     if np.any(rows > 1.0 + SIMPLEX_TOLERANCE):
-        raise NotNormalized(f"entry {float(rows.max())!r} exceeds 1")
+        raise SimplexError(f"entry {float(rows.max())!r} exceeds 1")
     sums = rows.sum(axis=1)
     bad = np.abs(sums - 1.0) > SIMPLEX_TOLERANCE
     if np.any(bad):
-        raise NotNormalized(f"entries sum to {float(sums[bad][0])!r}, not 1")
+        raise SimplexError(f"entries sum to {float(sums[bad][0])!r}, not 1")
 
 
 def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarray:
@@ -176,7 +167,7 @@ def _prepare_rows(rows: np.ndarray, renormalize: bool) -> np.ndarray:
     totals = rows.sum(axis=1)
     empty = totals <= 0.0
     if np.any(empty):
-        raise ZeroMass(f"entries sum to {float(totals[empty][0])!r}; cannot renormalize")
+        raise SimplexError(f"entries sum to {float(totals[empty][0])!r}; cannot renormalize")
     return rows / totals[:, None]
 
 
@@ -188,12 +179,9 @@ def validate_simplex(raw: Sequence[float], renormalize: bool = False) -> Categor
     entries are clamped to be nonnegative and divided by their sum, which is
     the intended ingestion path for 32-bit predictions read from files.
 
-    Raises
-    ------
-    NegativeEntry, NotNormalized
-        Strict-mode violations.
-    ZeroMass
-        ``renormalize=True`` but the clamped entries sum to zero or less.
+    Raises :class:`SimplexError` for a non-finite entry, for a negative entry,
+    an entry above one or a sum off one in strict mode, and, with
+    ``renormalize=True``, for clamped entries that sum to zero.
     """
     arr = np.asarray(raw, dtype=np.float64).reshape(-1)
     if arr.size == 0:
@@ -389,13 +377,17 @@ def _check_labels(labels, k: int) -> np.ndarray:
     """
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu" and ((labels >= 1) & (labels <= k)).all():
         return labels.astype(np.intp)  # the common case, without a walk
-    items = labels.ravel().tolist() if isinstance(labels, np.ndarray) else list(labels)
-    for y in items:
-        if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
-            raise LabelOutOfRange(f"label {y!r} is not an integer")
-        if not 1 <= y <= k:
-            raise LabelOutOfRange(f"label {y} not in 1..{k}")
-    return np.array(items, dtype=np.intp)
+    items = labels.ravel().tolist() if isinstance(labels, np.ndarray) else labels
+    return np.array([_check_label(y, k) for y in items], dtype=np.intp)
+
+
+def _check_label(y, k: int) -> int:
+    """The one label rule for a single label, returned as an int (see :func:`_check_labels`)."""
+    if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
+        raise LabelOutOfRange(f"label {y!r} is not an integer")
+    if not 1 <= y <= k:
+        raise LabelOutOfRange(f"label {y} not in 1..{k}")
+    return int(y)
 
 
 def _loss_arrays(rule: ScoringRule, probs: np.ndarray, labels) -> np.ndarray:
@@ -455,7 +447,7 @@ def expected_loss(
     infinite (the 0 * inf := 0 convention that keeps entropies finite).
     """
     if prediction.k != truth.k:
-        raise DimensionMismatch(f"prediction has K={prediction.k}, truth has K={truth.k}")
+        raise UqscoreError(f"prediction has K={prediction.k}, truth has K={truth.k}")
     losses = _loss_arrays(rule, np.broadcast_to(prediction.probs, (truth.k, truth.k)), np.arange(1, truth.k + 1))
     total = 0.0
     for ty, ly in zip(truth.probs.tolist(), losses.tolist()):
@@ -485,7 +477,7 @@ def divergence(
     divergence also vanishes whenever the two share an argmax.
     """
     if prediction.k != truth.k:
-        raise DimensionMismatch(f"prediction has K={prediction.k}, truth has K={truth.k}")
+        raise UqscoreError(f"prediction has K={prediction.k}, truth has K={truth.k}")
     return float(_DIVERGENCE_KERNELS[rule](prediction.probs, truth.probs))
 
 
@@ -534,7 +526,7 @@ def _component_scores(rule: ScoringRule, samples: Sequence[SecondOrderSample], c
     check_component(component)
     ks = {s.k for s in samples}
     if len(ks) > 1:
-        raise DimensionMismatch(f"samples disagree on class count: {sorted(ks)}")
+        raise UqscoreError(f"samples disagree on class count: {sorted(ks)}")
     return _decompose_samples([rule], samples)[0, COMPONENTS.index(component)]
 
 

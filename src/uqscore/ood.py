@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySide, NonFiniteScore
+from .errors import UqscoreError
 from .measures import ScoringRule, SecondOrderSample, _component_scores
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
@@ -34,11 +34,11 @@ class ScoreSplit:
         for name in ("id_scores", "ood_scores"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
             if arr.size == 0:
-                raise EmptySide(f"{name} is empty")
+                raise UqscoreError(f"{name} is empty")
             if not np.all(np.isfinite(arr)):
                 # A non-finite uncertainty score cannot come from a valid
                 # belief, so it signals corruption upstream; refuse to rank it.
-                raise NonFiniteScore(f"{name} contains non-finite values")
+                raise UqscoreError(f"{name} contains non-finite values")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

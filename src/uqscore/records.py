@@ -38,14 +38,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import orjson
 
-from .errors import (
-    LabelOutOfRange,
-    Malformed,
-    MissingLabels,
-    SimplexError,
-    SimplexViolation,
-)
-from .measures import SecondOrderSample, _build_samples, _check_labels, validate_simplex
+from .errors import LabelOutOfRange, Malformed, SimplexError, UqscoreError
+from .measures import SecondOrderSample, _build_samples, _check_label, validate_simplex
 
 __all__ = ["PredictionRecord", "parse_predictions", "write_predictions"]
 
@@ -60,7 +54,7 @@ class PredictionRecord:
 
     def __post_init__(self):
         if self.label is not None:
-            object.__setattr__(self, "label", int(_check_labels([self.label], self.sample.k)[0]))
+            object.__setattr__(self, "label", _check_label(self.label, self.sample.k))
 
 
 def _raise_first_row_fault(line_no: int, rows: list, renormalize: bool) -> None:
@@ -71,7 +65,7 @@ def _raise_first_row_fault(line_no: int, rows: list, renormalize: bool) -> None:
         try:
             validate_simplex(row, renormalize=renormalize)
         except SimplexError as exc:
-            raise SimplexViolation(line_no, i, str(exc)) from exc
+            raise Malformed(line_no, str(exc), row=i) from exc
         except OverflowError:
             raise Malformed(line_no, f"row {i} holds an integer too large for a float") from None
 
@@ -115,9 +109,10 @@ def _build_records(lines: list[tuple], renormalize: bool) -> list[PredictionReco
 def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]:
     """Read a prediction file, preserving record order.
 
-    Raises :class:`Malformed` or :class:`SimplexViolation` with 1-based
-    line (and row) positions; blank lines are skipped.  Bytes that are not
-    UTF-8 are read as lone surrogates, so the line holding them is named.
+    Raises :class:`Malformed` with the 1-based line of the first fault in
+    file order, and its row for a row off the simplex; blank lines are
+    skipped.  Bytes that are not UTF-8 are read as lone surrogates, so the
+    line holding them is named.
     """
     lines = []
     try:
@@ -126,7 +121,7 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
                 if not line.isspace():
                     lines.append(_decode_line(line_no, line, renormalize))
         return _build_records(lines, renormalize)
-    except (Malformed, SimplexViolation, SimplexError) as exc:
+    except (Malformed, SimplexError) as exc:
         fault = exc
     for line in lines:  # every line read, one record at a time: the first fault in file order raises
         try:
@@ -156,7 +151,7 @@ def _decode_line(line_no: int, line: str, renormalize: bool) -> tuple:
             payload = orjson.loads(line)
             if type(payload) is dict and type(payload.get("label", 0)) is int:
                 return _parse_line(line_no, payload, renormalize)
-        except (orjson.JSONDecodeError, Malformed, SimplexViolation):
+        except (orjson.JSONDecodeError, Malformed):
             pass  # json.loads decides, and names the fault
     try:
         payload = json.loads(line)
@@ -176,8 +171,8 @@ def write_predictions(records: Iterable[PredictionRecord], path) -> None:
 
 
 def require_labels(records: Sequence[PredictionRecord]) -> list[int]:
-    """All labels, or :class:`MissingLabels` naming the first offender."""
+    """All labels, or an error naming the first records without one."""
     missing = [rec.id for rec in records if rec.label is None]
     if missing:
-        raise MissingLabels(f"records without labels: {missing[:5]}")
+        raise UqscoreError(f"records without labels: {missing[:5]}")
     return [rec.label for rec in records]

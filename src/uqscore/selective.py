@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, TooLarge
+from .errors import UqscoreError
 from .measures import ScoringRule, SecondOrderSample, _component_scores, _loss_arrays
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
@@ -103,7 +103,7 @@ def harmonic_weights(n: int) -> np.ndarray:
 def _check_losses(losses) -> np.ndarray:
     arr = np.asarray(losses, dtype=np.float64).reshape(-1)
     if arr.shape[0] < 1:
-        raise LengthMismatch("need at least one instance loss")
+        raise UqscoreError("need at least one instance loss")
     if not np.all(arr >= 0.0):  # also rejects NaN
         raise ValueError("instance losses must be nonnegative (and not NaN)")
     return arr
@@ -118,7 +118,7 @@ def aulc(losses: Sequence[float], ordering: Ordering) -> AulcResult:
     """
     arr = _check_losses(losses)
     if arr.shape[0] != ordering.n:
-        raise LengthMismatch(f"{arr.shape[0]} losses vs permutation of {ordering.n}")
+        raise UqscoreError(f"{arr.shape[0]} losses vs permutation of {ordering.n}")
     permuted = arr[ordering.perm]
     ks = np.arange(1, arr.shape[0] + 1, dtype=np.float64)
     curve = np.cumsum(permuted) / ks
@@ -135,7 +135,7 @@ def aulc_weighted(losses: Sequence[float], ordering: Ordering) -> float:
     """
     arr = _check_losses(losses)
     if arr.shape[0] != ordering.n:
-        raise LengthMismatch(f"{arr.shape[0]} losses vs permutation of {ordering.n}")
+        raise UqscoreError(f"{arr.shape[0]} losses vs permutation of {ordering.n}")
     w = harmonic_weights(arr.shape[0])
     return float(np.dot(w, arr[ordering.perm]) / arr.shape[0])
 
@@ -150,7 +150,7 @@ def optimal_aulc_bruteforce(expected_losses: Sequence[float]) -> tuple[Ordering,
     arr = _check_losses(expected_losses)
     n = arr.shape[0]
     if n > 8:
-        raise TooLarge(f"brute force over {n}! permutations refused (max n=8)")
+        raise UqscoreError(f"brute force over {n}! permutations refused (max n=8)")
     w = harmonic_weights(n)
     # strict improvement keeps the lexicographically smallest minimizer,
     # starting from the identity (covers all-infinite loss vectors too)

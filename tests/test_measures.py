@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import uqscore.measures as measures
-from uqscore.errors import (
-    DimensionMismatch,
-    InconsistentDecomposition,
-    LabelOutOfRange,
-    NegativeEntry,
-    NotNormalized,
-    SimplexError,
-    UqscoreError,
-    ZeroMass,
-)
+from uqscore.errors import InconsistentDecomposition, LabelOutOfRange, SimplexError, UqscoreError
 from uqscore.measures import (
     COMPONENTS,
     CategoricalDistribution,
@@ -64,11 +55,11 @@ class TestValidateSimplex:
 
     def test_not_normalized_rejected(self):
         # sum = 0.9 deviates by 0.1, far beyond the 1e-9 tolerance
-        with pytest.raises(NotNormalized):
+        with pytest.raises(SimplexError, match="^entries sum to 0.9, not 1$"):
             validate_simplex([0.5, 0.4])
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(SimplexError, match="^negative entry -0.2$"):
             validate_simplex([1.2, -0.2])
 
     def test_renormalize_clamps_negatives(self):
@@ -76,9 +67,9 @@ class TestValidateSimplex:
         assert dist.probs.tolist() == [0.0, 0.5, 0.5]
 
     def test_zero_mass(self):
-        with pytest.raises(ZeroMass):
+        with pytest.raises(SimplexError, match=r"^entries sum to 0\.0; cannot renormalize$"):
             validate_simplex([0.0, 0.0], renormalize=True)
-        with pytest.raises(ZeroMass):
+        with pytest.raises(SimplexError, match=r"^entries sum to 0\.0; cannot renormalize$"):
             validate_simplex([-1.0, -2.0], renormalize=True)
 
     def test_single_class_rejected(self):
@@ -103,6 +94,13 @@ class TestValidateSimplex:
         with pytest.raises(ValueError):
             dist.probs[0] = 0.9
 
+    def test_equality_by_value_and_repr(self):
+        dist = validate_simplex([0.25, 0.75])
+        assert dist == CategoricalDistribution(np.array([0.25, 0.75], dtype=np.float32))
+        assert dist != validate_simplex([0.75, 0.25])
+        assert dist.__eq__(dist.probs) is NotImplemented and dist != [0.25, 0.75]
+        assert repr(dist) == "CategoricalDistribution([0.25, 0.75])"
+
 
 class TestSecondOrderSample:
     def test_mean_symmetry(self):
@@ -120,6 +118,14 @@ class TestSecondOrderSample:
     def test_empty_rejected(self):
         with pytest.raises(SimplexError):
             SecondOrderSample(np.empty((0, 2)))
+
+    def test_equality_by_value_and_repr(self):
+        sample = SecondOrderSample([[0.9, 0.1], [0.5, 0.5]])
+        assert sample == SecondOrderSample(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        assert sample != SecondOrderSample([[0.5, 0.5], [0.9, 0.1]])
+        assert sample.__eq__(sample.matrix) is NotImplemented and sample != sample.mean
+        assert repr(sample) == "SecondOrderSample(M=2, K=2)"
+        assert repr(SecondOrderSample([[0.2, 0.3, 0.5]])) == "SecondOrderSample(M=1, K=3)"
 
     def test_zero_mean_entry_implies_member_zeros(self):
         s = SecondOrderSample([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]])
@@ -189,7 +195,7 @@ class TestExpectedLoss:
         assert expected_loss(LOG, validate_simplex([1.0, 0.0]), validate_simplex([0.5, 0.5])) == math.inf
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UqscoreError, match="^prediction has K=2, truth has K=3$"):
             expected_loss(LOG, validate_simplex([0.5, 0.5]), validate_simplex([0.2, 0.3, 0.5]))
 
 
@@ -307,7 +313,7 @@ class TestDivergence:
         assert got == math.inf
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UqscoreError, match="^prediction has K=2, truth has K=3$"):
             divergence(LOG, validate_simplex([0.5, 0.5]), validate_simplex([0.2, 0.3, 0.5]))
 
     @given(distribution_pairs())

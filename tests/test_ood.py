@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from uqscore.errors import DimensionMismatch, EmptySide, NonFiniteScore
+from uqscore.errors import UqscoreError
 from uqscore.measures import ScoringRule, SecondOrderSample
 from uqscore.ood import AurocResult, ScoreSplit, _average_ranks, auroc, auroc_pairwise, run_ood
 
@@ -22,15 +22,15 @@ def rankdata_auroc(split):
 
 class TestScoreSplit:
     def test_empty_side(self):
-        with pytest.raises(EmptySide):
+        with pytest.raises(UqscoreError, match="^id_scores is empty$"):
             ScoreSplit([], [0.5])
-        with pytest.raises(EmptySide):
+        with pytest.raises(UqscoreError, match="^ood_scores is empty$"):
             ScoreSplit([0.5], [])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteScore):
+        with pytest.raises(UqscoreError, match="^id_scores contains non-finite values$"):
             ScoreSplit([np.nan], [0.5])
-        with pytest.raises(NonFiniteScore):
+        with pytest.raises(UqscoreError, match="^ood_scores contains non-finite values$"):
             ScoreSplit([0.1], [np.inf])
 
 
@@ -137,7 +137,7 @@ class TestRunOod:
         assert run_ood([id_sample], [ood_sample], LOG, "epistemic").auroc == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UqscoreError, match=r"^samples disagree on class count: \[2, 3\]$"):
             run_ood(
                 [SecondOrderSample([[0.5, 0.5]])],
                 [SecondOrderSample([[0.2, 0.3, 0.5]])],

@@ -1,5 +1,5 @@
 import uqscore
-from uqscore import active, measures, ood, records, selective
+from uqscore import active, errors, measures, ood, records, selective
 
 MODULES = (measures, selective, ood, active, records)
 
@@ -29,3 +29,15 @@ def test_package_reexports_each_module_all():
     namespace = {}
     exec("from uqscore import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def test_errors_define_six_value_error_classes():
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert classes == {
+        "UqscoreError", "SimplexError", "LabelOutOfRange", "BadConfig", "Malformed", "InconsistentDecomposition"
+    }
+    for name in classes:
+        assert issubclass(getattr(errors, name), errors.UqscoreError) and issubclass(getattr(errors, name), ValueError)
+    plain, simplex = errors.Malformed(3, "invalid JSON"), errors.Malformed(3, "negative entry -0.5", row=2)
+    assert (str(plain), plain.line, plain.row) == ("line 3: invalid JSON", 3, None)
+    assert (str(simplex), simplex.line, simplex.row) == ("line 3, row 2: negative entry -0.5", 3, 2)

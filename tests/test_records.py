@@ -8,15 +8,7 @@ import pytest
 
 import uqscore.measures as measures
 import uqscore.records as records_module
-from uqscore.errors import (
-    LabelOutOfRange,
-    Malformed,
-    MissingLabels,
-    NotNormalized,
-    SimplexError,
-    SimplexViolation,
-    UqscoreError,
-)
+from uqscore.errors import LabelOutOfRange, Malformed, SimplexError, UqscoreError
 from uqscore.measures import SecondOrderSample, validate_simplex
 from uqscore.records import (
     PredictionRecord,
@@ -78,15 +70,16 @@ class TestParse:
                 '{"id": "bad", "samples": [[0.5, 0.5], [0.5, 0.4]]}',
             ],
         )
-        with pytest.raises(SimplexViolation) as err:
+        with pytest.raises(Malformed, match="^line 2, row 2: entries sum to 0.9, not 1$") as err:
             parse_predictions(path)
         assert err.value.line == 2 and err.value.row == 2
 
     def test_renormalize_accepts_unscaled_rows(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_lines(path, ['{"id": "a", "samples": [[2.0, 2.0]]}'])
-        with pytest.raises(SimplexViolation):
+        with pytest.raises(Malformed, match="^line 1, row 1: entry 2.0 exceeds 1$") as err:
             parse_predictions(path)
+        assert err.value.line == 1 and err.value.row == 1
         records = parse_predictions(path, renormalize=True)
         assert records[0].sample.matrix.tolist() == [[0.5, 0.5]]
 
@@ -186,7 +179,7 @@ class TestHelpers:
         a = PredictionRecord("a", SecondOrderSample([[0.5, 0.5]]), 1)
         b = PredictionRecord("b", SecondOrderSample([[0.5, 0.5]]))
         assert require_labels([a]) == [1]
-        with pytest.raises(MissingLabels):
+        with pytest.raises(UqscoreError, match=r"^records without labels: \['b'\]$"):
             require_labels([a, b])
 
     def test_label_validation_on_construction(self):
@@ -209,7 +202,7 @@ def reference_parse(path, renormalize):
             try:
                 probs.append(validate_simplex(row, renormalize=renormalize).probs)
             except SimplexError as exc:
-                raise SimplexViolation(line_no, i, str(exc)) from exc
+                raise Malformed(line_no, str(exc), row=i) from exc
             except OverflowError:
                 raise Malformed(line_no, f"row {i} holds an integer too large for a float") from None
         sample = SecondOrderSample(probs)
@@ -421,7 +414,7 @@ class TestParseOracle:
         want = outcome(reference_parse, path, renormalize)
         assert same_outcome(outcome(batch_parse, path, renormalize), want)
         if fault in ("nan", "inf", "minus inf"):  # never clamped away, even with --renormalize
-            assert want == (SimplexViolation, 2, 2, "line 2, row 2: probabilities must be finite")
+            assert want == (Malformed, 2, 2, "line 2, row 2: probabilities must be finite")
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_number_literals_match_json_loads_bit_for_bit(self, tmp_path, renormalize):
@@ -539,7 +532,7 @@ class TestParseOracle:
         rows = [[0.5, 0.5 + 1e-9 + 2e-13, -5e-13], [0.5, 0.5, 0.0]]
         path = tmp_path / "p.jsonl"
         write_lines(path, [json.dumps({"id": "a", "samples": rows})])
-        with pytest.raises(NotNormalized):
+        with pytest.raises(SimplexError, match="^entries sum to 1.0000000010002, not 1$"):
             SecondOrderSample([validate_simplex(row).probs for row in rows])
         assert parse_predictions(path)[0].sample.matrix[0, 2] == 0.0
 
