@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadConfig, UqscoreError
+from .errors import BadConfig, SimplexError, UqscoreError
 from .measures import COMPONENTS, ScoringRule, _check_labels, _loss_arrays, check_component
 from .measures import _build_beliefs, _check_simplex_rows, _check_triples, _decompose_arrays
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
@@ -30,6 +30,7 @@ __all__ = [
     "TabularDataset",
     "LearnerConfig",
     "EnsembleLearner",
+    "PoolBeliefs",
     "AcquisitionStrategy",
     "ActiveLearningTrace",
     "make_blobs",
@@ -254,18 +255,21 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
         s = 2 * node.size
     feature, threshold, left, right, leaf = (np.concatenate(parts) for parts in zip(*levels))
     _check_simplex_rows(leaf)  # once per fit: predict_pool only gathers copies of these rows
+    leaf.setflags(write=False)
     return EnsembleLearner(feature, threshold, left, right, leaf, len(levels) - 1, config, train.d)
 
 
-def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
-    """All member predictions for a batch: a point-major (n, M, K) array, so a reduction
-    over one input's members adds in the same order as for one ``SecondOrderSample``.
+def _leaf_ids(learner: EnsembleLearner, x) -> np.ndarray:
+    """The (n, M) node id of the leaf each tree sends each row of ``x`` to, members in tree order.
 
     Every (input, tree) pair descends one level per step, all at once, by 1-D gathers over
     flat node ids; a leaf routes to itself (feature -1 reads any value, NaN threshold is false).
     """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != learner.d:
         raise UqscoreError(f"inputs must be (n, {learner.d})")
+    if not np.isfinite(x).all():  # a NaN would go right at every split and still get a belief
+        raise UqscoreError("inputs must be finite")
     n, m = x.shape[0], learner.n_trees
     values = np.ascontiguousarray(x).ravel()
     child = np.column_stack([learner.right, learner.left]).ravel()  # so node i steps to 2i + (value <= threshold)
@@ -282,27 +286,61 @@ def _member_stack(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
         np.multiply(node, 2, out=index)
         index += go_left
         np.take(child, index, out=node, mode="clip")
-    del index, value, threshold, go_left, offset  # only node and the result stay alive
-    return np.take(learner.leaf, node, axis=0).reshape(n, m, learner.leaf.shape[1])
+    return node.reshape(n, m)
 
 
-def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> np.ndarray:
-    """Per-tree leaf distributions of every row of ``x``: a read-only (n, M, K) array.
+@dataclass(frozen=True, eq=False)
+class PoolBeliefs:
+    """The beliefs about a pool of ``len()`` inputs, as :func:`predict_pool` returns them.
 
-    Row i is the belief about input i, members in tree order: copies of
-    leaf rows :func:`fit` checked, in [0, 1] by construction: not checked or clipped again.
+    ``members`` is the C-contiguous float64 (n, M, K) member array and ``means`` its checked (n, K) means;
+    member j of input i is row ``leaf_ids[i, j]`` of the (L, K) table ``leaves`` bit for bit.  All are read-only.
     """
-    pool = _member_stack(learner, np.asarray(x, dtype=np.float64))
-    _build_beliefs(pool, check_members=False)
-    return pool
+
+    members: np.ndarray
+    means: np.ndarray
+    leaf_ids: np.ndarray
+    leaves: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.members, self.means, self.leaf_ids, self.leaves):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.members.shape[0]
+
+    @classmethod
+    def of(cls, members) -> "PoolBeliefs":
+        """Beliefs of (n, M, K) member rows, copied, checked and clipped; each member is its own table row."""
+        members = np.array(members, dtype=np.float64)  # a copy
+        if members.ndim != 3 or members.shape[1] < 1:
+            raise SimplexError("expected an (n, M, K) array of member distributions with M >= 1")
+        n, m, k = members.shape
+        return cls(members, _build_beliefs(members), np.arange(n * m).reshape(n, m), members.reshape(n * m, k))
+
+
+def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> PoolBeliefs:
+    """Per-tree leaf distributions of every row of ``x``, their checked means and leaf ids, from one descent.
+
+    Members, in tree order, are copies of leaf rows :func:`fit` checked, in [0, 1], so they are not checked or
+    clipped again.  If a mean entry is 0 and the table holds subnormal entries (a mean of normal ones is never 0),
+    the dust rule of the belief build may zero member entries: that pool is rebuilt, each member its own row.
+    """
+    ids = _leaf_ids(learner, x)
+    members = np.take(learner.leaf, ids, axis=0)  # point-major: each mean adds as one sample's would
+    means = _build_beliefs(members, check_members=False)
+    dust = (means == 0.0).any() and ((learner.leaf > 0.0) & (learner.leaf < np.finfo(np.float64).tiny)).any()
+    return PoolBeliefs.of(members) if dust else PoolBeliefs(members, means, ids, learner.leaf)
 
 
 def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean zero-one loss of the averaged prediction, from the loss core; one label per row of ``x``."""
-    stack = _member_stack(learner, np.asarray(x, dtype=np.float64))
-    if np.shape(labels) != stack.shape[:1]:
-        raise UqscoreError(f"labels of shape {np.shape(labels)} for {stack.shape[0]} inputs")
-    return float(np.mean(_loss_arrays(ScoringRule.ZERO_ONE, stack.mean(axis=1), labels)))
+    """Mean zero-one loss of the averaged prediction, from the loss core; one label per row of ``x``, at least one."""
+    ids = _leaf_ids(learner, x)
+    if np.shape(labels) != ids.shape[:1]:
+        raise UqscoreError(f"labels of shape {np.shape(labels)} for {ids.shape[0]} inputs")
+    if ids.shape[0] == 0:
+        raise UqscoreError("no inputs to take the zero-one loss over")
+    return float(np.mean(_loss_arrays(ScoringRule.ZERO_ONE, np.take(learner.leaf, ids, axis=0).mean(axis=1), labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,26 +511,19 @@ class AcquisitionStrategy:
         return f"{self.rule}-{self.component}"
 
 
-def _pool_scores(pool: np.ndarray, rule: ScoringRule, component: str) -> np.ndarray:
-    """One component of every belief of a :func:`predict_pool` array, per-row ``decompose`` bit for bit."""
-    triple = _decompose_arrays(rule, pool, pool.mean(axis=-2))  # point-major: each mean adds as a sample's would
+def _pool_scores(pool: PoolBeliefs, rule: ScoringRule, component: str) -> np.ndarray:
+    """One component of every belief of ``pool`` from its means and leaf table, per-row ``decompose`` bit for bit."""
+    triple = _decompose_arrays(rule, pool.members, pool.means, pool.leaves, pool.leaf_ids)
     _check_triples(*triple)
     return triple[COMPONENTS.index(component)]
 
 
-def acquire(
-    pool: np.ndarray,
-    strategy: AcquisitionStrategy,
-    batch: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def acquire(pool: PoolBeliefs, strategy: AcquisitionStrategy, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Indices (into the pool) to label next, sorted ascending.
 
-    Uncertainty strategies take the (n, M, K) array from :func:`predict_pool`
-    and pick the ``batch`` largest component values, ties resolved toward
-    the smallest index.  Random acquisition reads only ``len(pool)``, so
-    any sequence of the n pool points will do; it draws uniformly without
-    replacement from ``rng``.
+    Uncertainty strategies score the :class:`PoolBeliefs` from :func:`predict_pool` (or :meth:`PoolBeliefs.of`) in
+    leaf space and pick the ``batch`` largest component values, ties to the smallest index.  Random acquisition reads
+    only ``len(pool)``, so any sequence of n pool points will do, and draws uniformly without replacement from ``rng``.
     """
     n = len(pool)
     if batch < 0:
@@ -515,16 +546,14 @@ class ActiveLearningTrace:
     test_losses: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.labeled_counts, dtype=np.intp)
-        losses = np.asarray(self.test_losses, dtype=np.float64)
+        counts = np.array(self.labeled_counts, dtype=np.intp)  # copies
+        losses = np.array(self.test_losses, dtype=np.float64)
         if counts.shape != losses.shape or counts.ndim != 1 or counts.size < 1:
             raise ValueError("trace needs matching 1-d count and loss arrays")
         if np.any(np.diff(counts) <= 0):
             raise ValueError("labeled counts must increase every round")
         if np.any((losses < 0) | (losses > 1)):
             raise ValueError("zero-one test losses must lie in [0, 1]")
-        counts = counts.copy()
-        losses = losses.copy()
         counts.setflags(write=False)
         losses.setflags(write=False)
         object.__setattr__(self, "labeled_counts", counts)

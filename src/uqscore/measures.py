@@ -441,17 +441,20 @@ def expected_loss(
     prediction: CategoricalDistribution,
     truth: CategoricalDistribution,
 ) -> float:
-    """Expected pointwise loss under labels drawn from ``truth``: K losses from one core call, added in label order.
+    """Expected pointwise loss under labels drawn from ``truth``: K core losses in blocks, added in label order.
 
     A zero-probability label contributes zero even when its loss is
     infinite (the 0 * inf := 0 convention that keeps entropies finite).
     """
     if prediction.k != truth.k:
         raise UqscoreError(f"prediction has K={prediction.k}, truth has K={truth.k}")
-    losses = _loss_arrays(rule, np.broadcast_to(prediction.probs, (truth.k, truth.k)), np.arange(1, truth.k + 1))
+    step = max(1, _CHUNK_VALUES // truth.k)  # labels per core call, which bounds its (labels, K) temporaries
     total = 0.0
-    for ty, ly in zip(truth.probs.tolist(), losses.tolist()):
-        total += ty * ly if ty != 0.0 else 0.0  # total is never -0.0, so adding 0.0 keeps its bits
+    for start in range(0, truth.k, step):
+        labels = np.arange(start + 1, min(start + step, truth.k) + 1)
+        losses = _loss_arrays(rule, np.broadcast_to(prediction.probs, (labels.size, truth.k)), labels)
+        for ty, ly in zip(truth.probs[start : start + step].tolist(), losses.tolist()):
+            total += ty * ly if ty != 0.0 else 0.0  # total is never -0.0, so adding 0.0 keeps its bits
     return total
 
 
@@ -481,17 +484,25 @@ def divergence(
     return float(_DIVERGENCE_KERNELS[rule](prediction.probs, truth.probs))
 
 
-def _decompose_arrays(rule: ScoringRule, members: np.ndarray, means: np.ndarray):
+def _decompose_arrays(rule: ScoringRule, members: np.ndarray, means: np.ndarray, leaves=None, ids=None):
     """Closed-form (total, aleatoric, epistemic) arrays of checked (..., M, K) beliefs and their (..., K) means.
 
-    The one place the kernel tables are combined; callers run :func:`_check_triples`.
+    The one place the kernel tables are combined; callers run :func:`_check_triples`.  Member j is row ``ids[..., j]``
+    of the (L, K) table ``leaves`` bit for bit (by default its own row), so its own terms are taken once per row.
     """
     total = _ENTROPY_KERNELS[rule](means)
     if members.shape[-2] == 1:
         # the mean is the sole member, so there is exactly nothing to gain
         return total, total, np.zeros_like(total)
-    aleatoric = _ENTROPY_KERNELS[rule](members).mean(axis=-1)
-    epistemic = _DIVERGENCE_KERNELS[rule](means[..., None, :], members).mean(axis=-1)
+    if ids is None:
+        leaves = members.reshape(-1, members.shape[-1])
+        ids = np.arange(leaves.shape[0]).reshape(members.shape[:-1])
+    aleatoric = np.take(_ENTROPY_KERNELS[rule](leaves), ids).mean(axis=-1)
+    if rule is ScoringRule.ZERO_ONE:  # _divergence_zero_one's max and its t at p's argmax, both read by id
+        at_argmax = np.take(leaves, ids * leaves.shape[1] + np.argmax(means, axis=-1)[..., None])
+        epistemic = (np.take(leaves.max(axis=-1), ids) - at_argmax).mean(axis=-1)
+    else:  # the other divergences mix the mean with the member, so they stay per pair
+        epistemic = _DIVERGENCE_KERNELS[rule](means[..., None, :], members).mean(axis=-1)
     return total, aleatoric, epistemic
 
 

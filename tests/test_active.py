@@ -5,8 +5,9 @@ from uqscore.active import (
     AcquisitionStrategy,
     ActiveLearningTrace,
     LearnerConfig,
+    PoolBeliefs,
     TabularDataset,
-    _member_stack,
+    _leaf_ids,
     acquire,
     ensemble_zero_one_loss,
     fit,
@@ -28,7 +29,12 @@ ZERO_ONE = ScoringRule.ZERO_ONE
 
 def predict_one(learner, x):
     """The belief about one input: a batch of one from predict_pool."""
-    return SecondOrderSample(predict_pool(learner, np.asarray([x], dtype=np.float64))[0])
+    return SecondOrderSample(predict_pool(learner, np.asarray([x], dtype=np.float64)).members[0])
+
+
+def member_stack(learner, x):
+    """The descent, then the gather of each member's leaf row: the (n, M, K) members before any belief build."""
+    return np.take(learner.leaf, _leaf_ids(learner, x), axis=0)
 
 
 class TestConfigsAndTypes:
@@ -165,7 +171,7 @@ class TestEpistemicGap:
         for seed in range(5):
             data, (initial, pool, _) = make_epistemic_gap(40, 30, seed=seed)
             learner = fit(GAP_LEARNER, data.subset(initial), seed=seed)
-            samples = predict_pool(learner, data.features[pool])
+            samples = predict_pool(learner, data.features[pool]).members
             eu = np.array([decompose(ZERO_ONE, SecondOrderSample(row)).epistemic for row in samples])
             is_gap = data.features[pool][:, 1] > 4.0
             assert eu[is_gap].mean() > eu[~is_gap].mean()
@@ -189,17 +195,20 @@ class TestFitAndPredict:
         probe = rng.normal(size=(25, 2))
         a = predict_pool(fit(cfg, data, seed=11), probe)
         b = predict_pool(fit(cfg, data, seed=11), probe)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.members, b.members) and np.array_equal(a.leaf_ids, b.leaf_ids)
 
     def test_pool_rows_are_checked_beliefs(self, rng):
         # each row equals the matrix SecondOrderSample builds from it, and
         # the row mean equals that sample's mean, bit for bit
         data = make_blobs(3, 30, d=2, spread=0.5, centers_seed=3, noise_seed=4)
         learner = fit(LearnerConfig(n_trees=9, depth_cap=4, alpha=0.0), data, seed=2)
-        pool = predict_pool(learner, rng.normal(size=(40, 2)))
+        beliefs = predict_pool(learner, rng.normal(size=(40, 2)))
+        pool = beliefs.members
+        assert len(beliefs) == 40 and isinstance(len(beliefs), int)
         assert pool.shape == (40, 9, 3) and pool.dtype == np.float64
         assert pool.flags.c_contiguous and not pool.flags.writeable
         means = pool.mean(axis=-2)
+        assert np.array_equal(beliefs.means, means) and not beliefs.means.flags.writeable
         for row, mean in zip(pool, means):
             sample = SecondOrderSample(row)
             assert np.array_equal(row, sample.matrix)
@@ -228,9 +237,9 @@ class TestFitAndPredict:
         data = make_blobs(2, 20, d=2, spread=0.6, centers_seed=1, noise_seed=2)
         learner = fit(LearnerConfig(n_trees=5, depth_cap=3), data, seed=4)
         x = data.features[:7]
-        pool = predict_pool(learner, x)
+        pool = predict_pool(learner, x).members
         for i in range(7):
-            assert np.array_equal(pool[i], predict_pool(learner, x[i : i + 1])[0])
+            assert np.array_equal(pool[i], predict_pool(learner, x[i : i + 1]).members[0])
 
     def test_empty_train(self):
         data = make_blobs(2, 3, d=2)
@@ -421,9 +430,9 @@ class TestFlatEnsembleOracle:
             learner = fit(cfg, train, seed=case)
             trees = ref_fit(cfg, train, case)
             want = ref_predict(trees, probe, train.k)
-            assert np.array_equal(_member_stack(learner, probe), want), case
+            assert np.array_equal(member_stack(learner, probe), want), case
             _build_beliefs(want)
-            assert np.array_equal(predict_pool(learner, probe), want), case
+            assert np.array_equal(predict_pool(learner, probe).members, want), case
             assert learner.feature.size == sum(count_nodes(root) for root in trees), case
             for got, root in zip(learner.trees, trees, strict=True):
                 assert_same_nodes(got, root, case)
@@ -443,21 +452,21 @@ class TestFlatEnsembleOracle:
             else:
                 x = probe[:0]
             want = ref_predict(ref_fit(cfg, train, case), x, train.k)
-            assert np.array_equal(_member_stack(learner, np.ascontiguousarray(x)), want), case
-            assert np.array_equal(_member_stack(learner, x), want), case
-            assert np.array_equal(predict_pool(learner, x), want), case
+            assert np.array_equal(member_stack(learner, np.ascontiguousarray(x)), want), case
+            assert np.array_equal(member_stack(learner, x), want), case
+            assert np.array_equal(predict_pool(learner, x).members, want), case
 
     def test_trees_are_views_of_the_flat_model(self):
         data = make_blobs(3, 20, d=2, spread=0.5, centers_seed=2, noise_seed=3)
         learner = fit(LearnerConfig(n_trees=4, depth_cap=3), data, seed=1)
         assert learner.trees is learner.trees and len(learner.trees) == 4
         want = ref_predict(learner.trees, data.features, data.k)
-        assert np.array_equal(_member_stack(learner, data.features), want)
+        assert np.array_equal(member_stack(learner, data.features), want)
 
 
 def pool_of(*beliefs):
-    """An (n, M, K) pool of checked beliefs, as predict_pool returns, from (M, K) member lists."""
-    return np.stack([SecondOrderSample(b).matrix for b in beliefs])
+    """A hand-built pool of checked beliefs, as acquire takes, from (M, K) member lists."""
+    return PoolBeliefs.of(np.stack([SecondOrderSample(b).matrix for b in beliefs]))
 
 
 class TestAcquire:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,8 +227,8 @@ def awkward_rows(rng, k, n):
 
 
 class TestLossCore:
-    #: (K, rows): 52 000 (row, label) values per rule in all
-    SHAPES = [(2, 3000), (3, 2000), (4, 2000), (10, 1000), (257, 40), (1000, 12)]
+    #: (K, rows): 64 000 (row, label) values per rule in all; at K = 3000 expected_loss takes its labels in blocks
+    SHAPES = [(2, 3000), (3, 2000), (4, 2000), (10, 1000), (257, 40), (1000, 12), (3000, 4)]
 
     @pytest.mark.parametrize("k, n", SHAPES)
     def test_equals_the_per_value_loss_bit_for_bit(self, k, n):
@@ -254,6 +255,19 @@ class TestLossCore:
                     if ty != 0.0:
                         ref += ty * ly
                 assert np.float64(expected_loss(rule, prediction, truth)).tobytes() == np.float64(ref).tobytes()
+
+    def test_expected_loss_memory_is_bounded_at_wide_k(self):
+        # the labels reach the core in blocks of at most _CHUNK_VALUES values: no (K, K) temporary (72 MB here)
+        rows = awkward_rows(np.random.default_rng(3), 3000, 2)
+        prediction, truth = CategoricalDistribution(rows[0]), CategoricalDistribution(rows[1])
+        for rule in RULES:
+            tracemalloc.start()
+            try:
+                expected_loss(rule, prediction, truth)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * measures._CHUNK_VALUES * 8, (rule, peak)
 
     def test_awkward_rows_hold_zeros_and_ties(self):
         rows = awkward_rows(np.random.default_rng(10), 10, 1000)

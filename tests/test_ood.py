@@ -159,7 +159,7 @@ def test_pool_scores_equal_per_row_decompose(rule):
     rng = np.random.default_rng(5)
     learner = fit(LearnerConfig(n_trees=12, depth_cap=4), TabularDataset(*_two_blobs(rng, 40, 1.1), 2), seed=5)
     pool = predict_pool(learner, rng.normal(0.0, 3.0, size=(60, 2)))
-    triples = [decompose(rule, SecondOrderSample(row)) for row in pool]
+    triples = [decompose(rule, SecondOrderSample(row)) for row in pool.members]
     for component in COMPONENTS:
         want = np.array([t.component(component) for t in triples])
         assert _pool_scores(pool, rule, component).tobytes() == want.tobytes()

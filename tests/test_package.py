@@ -10,15 +10,16 @@ PUBLIC_NAMES = {
     "AulcResult", "Ordering", "aulc", "aulc_weighted", "harmonic_weights", "optimal_aulc_bruteforce",
     "order_by_uncertainty", "run_selective_prediction",
     "AurocResult", "ScoreSplit", "auroc", "auroc_pairwise", "run_ood",
-    "AcquisitionStrategy", "ActiveLearningTrace", "EnsembleLearner", "LearnerConfig", "TabularDataset", "acquire",
-    "ensemble_zero_one_loss", "fit", "make_blobs", "make_epistemic_gap", "predict_pool", "run_active_learning",
+    "AcquisitionStrategy", "ActiveLearningTrace", "EnsembleLearner", "LearnerConfig", "PoolBeliefs", "TabularDataset",
+    "acquire", "ensemble_zero_one_loss", "fit", "make_blobs", "make_epistemic_gap", "predict_pool",
+    "run_active_learning",
     "PredictionRecord", "parse_predictions", "write_predictions",
     "__version__",
 }
 
 
 def test_package_reexports_each_module_all():
-    assert len(uqscore.__all__) == len(PUBLIC_NAMES) == 42
+    assert len(uqscore.__all__) == len(PUBLIC_NAMES) == 43
     assert set(uqscore.__all__) == PUBLIC_NAMES
     module_names = [name for module in MODULES for name in module.__all__]
     assert len(module_names) == len(set(module_names)), "a name is public in two modules"
