@@ -21,16 +21,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadConfig, SimplexError, UqscoreError
-from .measures import COMPONENTS, ScoringRule, _check_labels, _loss_arrays, check_component
-from .measures import _build_beliefs, _check_simplex_rows, _check_triples, _decompose_arrays
+from .errors import BadConfig, UqscoreError
+from .measures import Beliefs, ScoringRule, _build_beliefs, _check_labels, _check_simplex_rows, _component_scores
+from .measures import _loss_arrays, check_component
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
 
 __all__ = [
     "TabularDataset",
     "LearnerConfig",
     "EnsembleLearner",
-    "PoolBeliefs",
     "AcquisitionStrategy",
     "ActiveLearningTrace",
     "make_blobs",
@@ -289,37 +288,7 @@ def _leaf_ids(learner: EnsembleLearner, x) -> np.ndarray:
     return node.reshape(n, m)
 
 
-@dataclass(frozen=True, eq=False)
-class PoolBeliefs:
-    """The beliefs about a pool of ``len()`` inputs, as :func:`predict_pool` returns them.
-
-    ``members`` is the C-contiguous float64 (n, M, K) member array and ``means`` its checked (n, K) means;
-    member j of input i is row ``leaf_ids[i, j]`` of the (L, K) table ``leaves`` bit for bit.  All are read-only.
-    """
-
-    members: np.ndarray
-    means: np.ndarray
-    leaf_ids: np.ndarray
-    leaves: np.ndarray
-
-    def __post_init__(self):
-        for array in (self.members, self.means, self.leaf_ids, self.leaves):
-            array.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.members.shape[0]
-
-    @classmethod
-    def of(cls, members) -> "PoolBeliefs":
-        """Beliefs of (n, M, K) member rows, copied, checked and clipped; each member is its own table row."""
-        members = np.array(members, dtype=np.float64)  # a copy
-        if members.ndim != 3 or members.shape[1] < 1:
-            raise SimplexError("expected an (n, M, K) array of member distributions with M >= 1")
-        n, m, k = members.shape
-        return cls(members, _build_beliefs(members), np.arange(n * m).reshape(n, m), members.reshape(n * m, k))
-
-
-def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> PoolBeliefs:
+def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> Beliefs:
     """Per-tree leaf distributions of every row of ``x``, their checked means and leaf ids, from one descent.
 
     Members, in tree order, are copies of leaf rows :func:`fit` checked, in [0, 1], so they are not checked or
@@ -330,7 +299,7 @@ def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> PoolBeliefs:
     members = np.take(learner.leaf, ids, axis=0)  # point-major: each mean adds as one sample's would
     means = _build_beliefs(members, check_members=False)
     dust = (means == 0.0).any() and ((learner.leaf > 0.0) & (learner.leaf < np.finfo(np.float64).tiny)).any()
-    return PoolBeliefs.of(members) if dust else PoolBeliefs(members, means, ids, learner.leaf)
+    return Beliefs.of(members) if dust else Beliefs(members, means, ids, learner.leaf)
 
 
 def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.ndarray) -> float:
@@ -511,19 +480,12 @@ class AcquisitionStrategy:
         return f"{self.rule}-{self.component}"
 
 
-def _pool_scores(pool: PoolBeliefs, rule: ScoringRule, component: str) -> np.ndarray:
-    """One component of every belief of ``pool`` from its means and leaf table, per-row ``decompose`` bit for bit."""
-    triple = _decompose_arrays(rule, pool.members, pool.means, pool.leaves, pool.leaf_ids)
-    _check_triples(*triple)
-    return triple[COMPONENTS.index(component)]
-
-
-def acquire(pool: PoolBeliefs, strategy: AcquisitionStrategy, batch: int, rng: np.random.Generator) -> np.ndarray:
+def acquire(pool: Beliefs, strategy: AcquisitionStrategy, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Indices (into the pool) to label next, sorted ascending.
 
-    Uncertainty strategies score the :class:`PoolBeliefs` from :func:`predict_pool` (or :meth:`PoolBeliefs.of`) in
-    leaf space and pick the ``batch`` largest component values, ties to the smallest index.  Random acquisition reads
-    only ``len(pool)``, so any sequence of n pool points will do, and draws uniformly without replacement from ``rng``.
+    Uncertainty strategies score the ``Beliefs`` from :func:`predict_pool` (or ``Beliefs.of``) as they are, in leaf
+    space, and pick the ``batch`` largest component values, ties to the smallest index.  Random acquisition reads only
+    ``len(pool)``, so any sequence of n pool points will do, and draws uniformly without replacement from ``rng``.
     """
     n = len(pool)
     if batch < 0:
@@ -533,7 +495,7 @@ def acquire(pool: PoolBeliefs, strategy: AcquisitionStrategy, batch: int, rng: n
     if strategy.rule is None:
         chosen = rng.choice(n, size=batch, replace=False)
         return np.sort(chosen)
-    values = _pool_scores(pool, strategy.rule, strategy.component)
+    values = _component_scores(strategy.rule, [pool], strategy.component)
     order = np.lexsort((np.arange(n), -values))
     return np.sort(order[:batch])
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .active import LearnerConfig, TabularDataset, _pool_scores, _two_blobs, fit, predict_pool
+from .active import LearnerConfig, TabularDataset, _two_blobs, fit, predict_pool
 from .measures import ScoringRule
-from .ood import AurocResult, ScoreSplit, auroc
+from .ood import AurocResult, run_ood
 
 __all__ = [
     "OOD_LEARNER",
@@ -54,7 +54,4 @@ def ood_trend_run(seed: int) -> dict[ScoringRule, AurocResult]:
     )
     learner = fit(OOD_LEARNER, train, seed=seed)
     id_pool, ood_pool = predict_pool(learner, id_features), predict_pool(learner, ood_eval)
-    return {
-        rule: auroc(ScoreSplit(_pool_scores(id_pool, rule, "epistemic"), _pool_scores(ood_pool, rule, "epistemic")))
-        for rule in ScoringRule
-    }
+    return {rule: run_ood([id_pool], [ood_pool], rule) for rule in ScoringRule}

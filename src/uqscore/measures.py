@@ -34,6 +34,7 @@ __all__ = [
     "COMPONENTS",
     "ScoringRule",
     "CategoricalDistribution",
+    "Beliefs",
     "SecondOrderSample",
     "UncertaintyTriple",
     "validate_simplex",
@@ -104,13 +105,6 @@ class CategoricalDistribution:
     def __repr__(self) -> str:
         return f"CategoricalDistribution({np.array2string(self.probs, separator=', ')})"
 
-    @classmethod
-    def _of_checked(cls, probs: np.ndarray) -> "CategoricalDistribution":
-        """Wrap a read-only float64 (K,) row that already passed the simplex check, without a copy."""
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "probs", probs)
-        return dist
-
 
 def _check_simplex_rows(rows: np.ndarray) -> None:
     """Raise unless every row of ``rows`` is a valid simplex point."""
@@ -133,7 +127,7 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
 def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarray:
     """Check, clip, average and freeze (..., M, K) member rows in place; returns their checked (..., K) means.
 
-    The one belief build, for :class:`SecondOrderSample`, parsed files and the active-learning pool.
+    The body of :meth:`Beliefs.of`, and of the active-learning pool's build.
     ``check_members=False`` takes rows known to lie on the simplex in [0, 1], as the pool's copies
     of the leaf rows ``fit`` checked do, and neither checks nor clips them.
     """
@@ -189,34 +183,94 @@ def validate_simplex(raw: Sequence[float], renormalize: bool = False) -> Categor
     return CategoricalDistribution(_prepare_rows(arr[None, :], renormalize)[0])
 
 
-class SecondOrderSample:
-    """A finite belief: M member distributions plus their cached mean.
+class Beliefs:
+    """Finite beliefs about ``len()`` inputs, each M member distributions over the same K classes.
 
-    Members are stored as the rows of an (M, K) read-only float64 matrix.
-    The mean is the component-wise arithmetic average of the rows (the
-    model average used for point prediction), and a mean entry of zero
-    forces every member to be zero there, which keeps all divergence terms
-    finite.
+    ``members`` is the C-contiguous float64 (n, M, K) member array and ``means`` its checked (n, K) means; member j
+    of belief i is row ``leaf_ids[i, j]`` of the (L, K) table ``leaves`` bit for bit (a fitted learner's leaf table,
+    or each member its own row).  All are read-only.  ``beliefs[i]`` and iteration give belief i as a
+    :class:`SecondOrderSample` view, each member its own row.
     """
 
-    __slots__ = ("matrix", "mean")
+    __slots__ = ("members", "means", "leaf_ids", "leaves")
+
+    def __init__(self, members: np.ndarray, means: np.ndarray, leaf_ids: np.ndarray, leaves: np.ndarray):
+        for array in (members, means, leaf_ids, leaves):
+            array.setflags(write=False)
+        self.members, self.means, self.leaf_ids, self.leaves = members, means, leaf_ids, leaves
+
+    @staticmethod
+    def of(members, renormalize: bool = False) -> "Beliefs":
+        """The one checked build of (n, M, K) member rows, each member its own table row.
+
+        The rows are copied, renormalized as :func:`validate_simplex` does when asked, checked, clipped and averaged.
+        """
+        members = np.array(members, dtype=np.float64)  # a copy
+        if members.ndim != 3 or members.shape[1] < 1:
+            raise SimplexError("expected an (n, M, K) array of member distributions with M >= 1")
+        if renormalize:
+            members = _prepare_rows(members.reshape(-1, members.shape[2]), True).reshape(members.shape)
+        return _own_rows(members, _build_beliefs(members))
+
+    def __len__(self) -> int:
+        return self.members.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.members.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.members.shape[2]
+
+    def __getitem__(self, i: int) -> "SecondOrderSample":
+        i = range(len(self))[i]  # an IndexError past the end
+        return next(iter(_own_rows(self.members[i : i + 1], self.means[i : i + 1])))
+
+    def __iter__(self):
+        """Each belief as a :class:`SecondOrderSample` view, each member its own row; the views share one id row."""
+        ids = np.arange(self.m)[None, :]
+        ids.setflags(write=False)
+        for members, means, matrix in zip(self.members[:, None], self.means[:, None], self.members):
+            view = object.__new__(SecondOrderSample)
+            view.members, view.means, view.leaf_ids, view.leaves = members, means, ids, matrix
+            yield view
+
+
+def _own_rows(members: np.ndarray, means: np.ndarray) -> Beliefs:
+    """Beliefs of checked (n, M, K) members and their means, each member its own table row."""
+    n, m, k = members.shape
+    return Beliefs(members, means, np.arange(n * m).reshape(n, m), members.reshape(n * m, k))
+
+
+class SecondOrderSample(Beliefs):
+    """One finite belief, a :class:`Beliefs` of one: M member distributions plus their cached mean.
+
+    ``matrix`` holds the members as the rows of an (M, K) read-only float64 array, each its own table row.  The mean
+    is their component-wise average (the model average used for point prediction); a mean entry of zero forces every
+    member to be zero there, which keeps all divergence terms finite.
+    """
+
+    __slots__ = ()
 
     def __init__(self, matrix: np.ndarray):
-        arr = np.array(matrix, dtype=np.float64, copy=True)
+        arr = np.asarray(matrix, dtype=np.float64)
         if arr.ndim != 2:
             raise SimplexError("expected an (M, K) matrix of member distributions")
         if arr.shape[0] < 1:
             raise SimplexError("a second-order sample needs at least one member")
-        self.mean = CategoricalDistribution._of_checked(_build_beliefs(arr))
-        self.matrix = arr
+        built = Beliefs.of(arr[None])
+        super().__init__(built.members, built.means, built.leaf_ids, built.leaves)
 
     @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        return self.leaves
 
     @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
+    def mean(self) -> CategoricalDistribution:
+        mean = object.__new__(CategoricalDistribution)  # the checked read-only row, not copied
+        object.__setattr__(mean, "probs", self.means[0])
+        return mean
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SecondOrderSample):
@@ -227,12 +281,12 @@ class SecondOrderSample:
         return f"SecondOrderSample(M={self.m}, K={self.k})"
 
 
-#: Most values stacked into one (n, M, K) chunk by the batched paths, which bounds their copies.
+#: Most values stacked into one chunk by the batched paths, which bounds their copies.
 _CHUNK_VALUES = 1 << 15
 
 
 def _shape_chunks(shapes: Sequence[tuple]) -> list[list[int]]:
-    """Indices of the items of each (M, K) shape, in chunks of at most :data:`_CHUNK_VALUES` values or one item."""
+    """Indices of the items of each shape, in chunks of at most :data:`_CHUNK_VALUES` values or one item."""
     groups: dict[tuple, list[int]] = {}
     for i, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(i)
@@ -244,17 +298,11 @@ def _shape_chunks(shapes: Sequence[tuple]) -> list[list[int]]:
 
 
 def _build_samples(matrices: Sequence[np.ndarray], renormalize: bool) -> list[SecondOrderSample]:
-    """Samples of float64 (M, K) arrays, in order: one prepare and belief build per (M, K) chunk.
-
-    Each sample's matrix and mean are read-only views into its chunk, a copy: ``matrices`` stay as given.
-    """
+    """Samples of float64 (M, K) arrays, in order: the views of one :meth:`Beliefs.of` (a copy) per (M, K) chunk."""
     samples = [None] * len(matrices)
     for chunk in _shape_chunks([matrix.shape for matrix in matrices]):
-        n, m, k = len(chunk), *matrices[chunk[0]].shape
-        members = _prepare_rows(np.concatenate([matrices[i] for i in chunk]), renormalize).reshape(n, m, k)
-        for i, matrix, mean in zip(chunk, members, _build_beliefs(members)):
-            samples[i] = sample = object.__new__(SecondOrderSample)
-            sample.matrix, sample.mean = matrix, CategoricalDistribution._of_checked(mean)
+        for i, sample in zip(chunk, Beliefs.of([matrices[i] for i in chunk], renormalize)):
+            samples[i] = sample
     return samples
 
 
@@ -484,25 +532,24 @@ def divergence(
     return float(_DIVERGENCE_KERNELS[rule](prediction.probs, truth.probs))
 
 
-def _decompose_arrays(rule: ScoringRule, members: np.ndarray, means: np.ndarray, leaves=None, ids=None):
-    """Closed-form (total, aleatoric, epistemic) arrays of checked (..., M, K) beliefs and their (..., K) means.
+def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
+    """Closed-form (total, aleatoric, epistemic) (n,) arrays of one :class:`Beliefs` batch.
 
-    The one place the kernel tables are combined; callers run :func:`_check_triples`.  Member j is row ``ids[..., j]``
-    of the (L, K) table ``leaves`` bit for bit (by default its own row), so its own terms are taken once per row.
+    The one place the kernel tables are combined; callers run :func:`_check_triples`.  A member's own terms
+    are taken once per row of the leaf table and gathered by its id.
     """
+    members, means, leaves, ids, m = beliefs.members, beliefs.means, beliefs.leaves, beliefs.leaf_ids, beliefs.m
     total = _ENTROPY_KERNELS[rule](means)
-    if members.shape[-2] == 1:
+    if m == 1:
         # the mean is the sole member, so there is exactly nothing to gain
         return total, total, np.zeros_like(total)
-    if ids is None:
-        leaves = members.reshape(-1, members.shape[-1])
-        ids = np.arange(leaves.shape[0]).reshape(members.shape[:-1])
-    aleatoric = np.take(_ENTROPY_KERNELS[rule](leaves), ids).mean(axis=-1)
+    # each average over members is sum / M, np.mean's own arithmetic without its Python overhead
+    aleatoric = np.take(_ENTROPY_KERNELS[rule](leaves), ids).sum(axis=-1) / m
     if rule is ScoringRule.ZERO_ONE:  # _divergence_zero_one's max and its t at p's argmax, both read by id
         at_argmax = np.take(leaves, ids * leaves.shape[1] + np.argmax(means, axis=-1)[..., None])
-        epistemic = (np.take(leaves.max(axis=-1), ids) - at_argmax).mean(axis=-1)
+        epistemic = (np.take(leaves.max(axis=-1), ids) - at_argmax).sum(axis=-1) / m
     else:  # the other divergences mix the mean with the member, so they stay per pair
-        epistemic = _DIVERGENCE_KERNELS[rule](means[..., None, :], members).mean(axis=-1)
+        epistemic = _DIVERGENCE_KERNELS[rule](means[..., None, :], members).sum(axis=-1) / m
     return total, aleatoric, epistemic
 
 
@@ -512,33 +559,39 @@ def decompose(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple
     total = entropy of the member mean, aleatoric = average member entropy,
     epistemic = average divergence of the mean from the members.
     """
-    total, aleatoric, epistemic = _decompose_arrays(rule, sample.matrix, sample.mean.probs)
-    return UncertaintyTriple(float(total), float(aleatoric), float(epistemic), rule)
+    total, aleatoric, epistemic = _decompose_arrays(rule, sample)
+    return UncertaintyTriple(total.item(), aleatoric.item(), epistemic.item(), rule)
 
 
-def _decompose_samples(rules: Sequence[ScoringRule], samples: Sequence[SecondOrderSample]) -> np.ndarray:
-    """Per-sample :func:`decompose` under each rule, bit for bit, as an (R, 3, N) array.
+def _decompose_samples(rules: Sequence[ScoringRule], items: Sequence[Beliefs]) -> np.ndarray:
+    """Per-belief :func:`decompose` under each rule, bit for bit, as an (R, 3, N) array over the items' N rows.
 
-    One kernel pass per (M, K) chunk and rule, then one check, which raises
-    as per-sample calls would: sample by sample, then rule by rule.
+    Items of one (n, M, K) shape are stacked per chunk, each member its own row; an item alone in its chunk,
+    such as a pool, is scored as it is.  One kernel pass per chunk and rule, then one check, which raises as
+    per-belief calls would: belief by belief, then rule by rule.
     """
-    out = np.empty((len(rules), 3, len(samples)))
-    for chunk in _shape_chunks([s.matrix.shape for s in samples]):
-        members = np.stack([samples[i].matrix for i in chunk])
-        means = np.stack([samples[i].mean.probs for i in chunk])
+    shapes = [item.members.shape for item in items]
+    starts = np.cumsum([0] + [shape[0] for shape in shapes])
+    out = np.empty((len(rules), 3, starts[-1]))
+    for chunk in _shape_chunks(shapes):
+        beliefs = items[chunk[0]]
+        if len(chunk) > 1:
+            members = np.concatenate([items[i].members for i in chunk])
+            beliefs = _own_rows(members, np.concatenate([items[i].means for i in chunk]))
+        at = (starts[chunk][:, None] + np.arange(len(items[chunk[0]]))).ravel()  # the items of a chunk share their n
         for r, rule in enumerate(rules):
-            out[r][:, chunk] = _decompose_arrays(rule, members, means)
+            out[r][:, at] = _decompose_arrays(rule, beliefs)
     _check_triples(*out.transpose(1, 2, 0).reshape(3, -1))
     return out
 
 
-def _component_scores(rule: ScoringRule, samples: Sequence[SecondOrderSample], component: str) -> np.ndarray:
-    """One component of every sample's :func:`decompose` under ``rule``, checked to share one class count."""
+def _component_scores(rule: ScoringRule, items: Sequence[Beliefs], component: str) -> np.ndarray:
+    """One component of every belief's :func:`decompose` under ``rule``, in row order, over one class count."""
     check_component(component)
-    ks = {s.k for s in samples}
+    ks = {item.k for item in items}
     if len(ks) > 1:
         raise UqscoreError(f"samples disagree on class count: {sorted(ks)}")
-    return _decompose_samples([rule], samples)[0, COMPONENTS.index(component)]
+    return _decompose_samples([rule], items)[0, COMPONENTS.index(component)]
 
 
 def generic_triple(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:
@@ -550,7 +603,7 @@ def generic_triple(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyT
     finite label sums are used; none of the closed-form kernels are.
     """
     matrix = sample.matrix
-    mean_losses = _loss_table(rule, sample.mean.probs[None, :])  # (1, K)
+    mean_losses = _loss_table(rule, sample.means)  # (1, K)
     member_losses = _loss_table(rule, matrix)  # (M, K)
     # Zero-probability labels annihilate infinite losses (0 * inf := 0).
     with np.errstate(invalid="ignore"):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UqscoreError
-from .measures import ScoringRule, SecondOrderSample, _component_scores
+from .measures import Beliefs, ScoringRule, _component_scores
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = ["ScoreSplit", "AurocResult", "auroc", "auroc_pairwise", "run_ood"]
@@ -91,14 +91,12 @@ def auroc_pairwise(split: ScoreSplit) -> float:
 
 
 def run_ood(
-    id_samples: Sequence[SecondOrderSample],
-    ood_samples: Sequence[SecondOrderSample],
-    rule: ScoringRule,
-    component: str = "epistemic",
+    id_beliefs: Sequence[Beliefs], ood_beliefs: Sequence[Beliefs], rule: ScoringRule, component: str = "epistemic"
 ) -> AurocResult:
-    """Decompose both sample lists and score their separability.
+    """Decompose both lists of beliefs (samples, pools, or both) and score the separability of their rows.
 
-    One batched pass decomposes both lists, per-sample ``decompose`` bit for bit.
+    One batched pass decomposes both lists, per-row ``decompose`` bit for bit.
     """
-    scores = _component_scores(rule, list(id_samples) + list(ood_samples), component)
-    return auroc(ScoreSplit(scores[: len(id_samples)], scores[len(id_samples) :]))
+    n_id = sum(map(len, id_beliefs))
+    scores = _component_scores(rule, [*id_beliefs, *ood_beliefs], component)
+    return auroc(ScoreSplit(scores[:n_id], scores[n_id:]))

@@ -109,14 +109,13 @@ def _build_records(lines: list[tuple], renormalize: bool) -> list[PredictionReco
 def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]:
     """Read a prediction file, preserving record order.
 
-    Raises :class:`Malformed` with the 1-based line of the first fault in
-    file order, and its row for a row off the simplex; blank lines are
-    skipped.  Bytes that are not UTF-8 are read as lone surrogates, so the
-    line holding them is named.
+    Raises :class:`Malformed` with the 1-based line of the first fault in file order, and its row for a row
+    off the simplex; blank lines are skipped.  Lines end at LF only: a CR is JSON whitespace, so CRLF ends
+    read as before.  Bytes that are not UTF-8 are read as lone surrogates, so the line holding them is named.
     """
     lines = []
     try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.isspace():
                     lines.append(_decode_line(line_no, line, renormalize))

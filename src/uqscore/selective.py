@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UqscoreError
-from .measures import ScoringRule, SecondOrderSample, _component_scores, _loss_arrays
+from .measures import Beliefs, ScoringRule, SecondOrderSample, _component_scores, _loss_arrays
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = [
@@ -74,19 +74,15 @@ class AulcResult:
         return self.curve.shape[0]
 
 
-def order_by_uncertainty(
-    samples: Sequence[SecondOrderSample],
-    rule: ScoringRule,
-    component: str = "total",
-) -> Ordering:
-    """Rank instances by ascending uncertainty (least uncertain first).
+def order_by_uncertainty(beliefs: Sequence[Beliefs], rule: ScoringRule, component: str = "total") -> Ordering:
+    """Rank instances, the rows of ``beliefs`` (samples or pools), by ascending uncertainty (least uncertain first).
 
     Ties keep the original instance order.  The retained prefix of the
     returned permutation is what a selective predictor would answer on;
     call :meth:`Ordering.reversed` for the most-uncertain-first reading.
-    One batched pass gives per-sample ``decompose`` values bit for bit.
+    One batched pass gives per-row ``decompose`` values bit for bit.
     """
-    values = _component_scores(rule, samples, component)
+    values = _component_scores(rule, beliefs, component)
     if values.size == 0:
         raise ValueError("cannot order an empty list of samples")
     return Ordering(np.argsort(values, kind="stable"), criterion=f"{rule}:{component}")
@@ -184,4 +180,4 @@ def run_selective_prediction(
     ordering = order_by_uncertainty(samples, uncertainty_rule, component)
     if descending:
         ordering = ordering.reversed()
-    return aulc(_loss_arrays(task_rule, np.array([s.mean.probs for s in samples]), labels), ordering)
+    return aulc(_loss_arrays(task_rule, np.concatenate([s.means for s in samples]), labels), ordering)

@@ -5,7 +5,6 @@ from uqscore.active import (
     AcquisitionStrategy,
     ActiveLearningTrace,
     LearnerConfig,
-    PoolBeliefs,
     TabularDataset,
     _leaf_ids,
     acquire,
@@ -18,7 +17,7 @@ from uqscore.active import (
 )
 from uqscore.benchmarks import GAP_LEARNER
 from uqscore.errors import BadConfig, LabelOutOfRange, UqscoreError
-from uqscore.measures import COMPONENTS, ScoringRule, SecondOrderSample, _build_beliefs, decompose
+from uqscore.measures import COMPONENTS, Beliefs, ScoringRule, SecondOrderSample, _build_beliefs, decompose
 from uqscore.verify import random_belief
 
 from conftest import RULES
@@ -466,7 +465,7 @@ class TestFlatEnsembleOracle:
 
 def pool_of(*beliefs):
     """A hand-built pool of checked beliefs, as acquire takes, from (M, K) member lists."""
-    return PoolBeliefs.of(np.stack([SecondOrderSample(b).matrix for b in beliefs]))
+    return Beliefs.of(np.stack([SecondOrderSample(b).matrix for b in beliefs]))
 
 
 class TestAcquire:

@@ -75,6 +75,17 @@ class TestDecomposeCommand:
         summary = json.loads((out / "selective_summary.json").read_text())
         assert summary["aulc"] == "inf"
 
+    def test_records_end_at_lf_only(self, tmp_path, capsys):
+        # a lone CR is JSON whitespace; a file whose records end at CR alone is one line
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": "a",\r "samples": [[0.5, 0.5]]}\n')
+        assert main(["decompose", "--input", str(path), "--rule", "log", "--out-dir", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "decompose.jsonl").read_text())["id"] == "a"
+        path.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\r{"id": "b", "samples": [[0.5, 0.5]]}\r')
+        capsys.readouterr()
+        assert main(["decompose", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {path}: line 1: invalid JSON (Extra data)\n"
+
     def test_empty_input(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text("", encoding="utf-8")

@@ -1,25 +1,25 @@
 """Leaf-space pool scoring: every score equals per-row ``decompose`` bit for bit.
 
-``predict_pool`` keeps each member's leaf id, and ``_pool_scores`` takes the terms of a member alone
-(its entropy, and zero-one's max and value at the mean's argmax) once per row of the leaf table.
+``predict_pool`` keeps each member's leaf id, and ``_component_scores(rule, [pool], component)`` takes the terms
+of a member alone (its entropy, and zero-one's max and value at the mean's argmax) once per row of the leaf table.
 These tests run on fitted learners and on hand-built leaf tables (wide K, M = 1, exact zeros, argmax
 ties, subnormal dust).  ``ref_pool_scores`` keeps the per-pair scoring body that leaf-space scoring
 replaced, as the oracle for ``acquire`` and ``ood_trend_run``.  CI re-runs this file with numpy's
 higher SIMD dispatch levels disabled.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from uqscore import active, benchmarks, measures
+from uqscore import active, measures, ood
 from uqscore.active import (
     AcquisitionStrategy,
     EnsembleLearner,
     LearnerConfig,
-    PoolBeliefs,
     TabularDataset,
     _leaf_ids,
-    _pool_scores,
     acquire,
     fit,
     make_blobs,
@@ -28,8 +28,11 @@ from uqscore.active import (
     run_active_learning,
 )
 from uqscore.benchmarks import GAP_LEARNER, ood_trend_run
-from uqscore.errors import SimplexError, UqscoreError
-from uqscore.measures import COMPONENTS, SecondOrderSample, decompose
+from uqscore.errors import InconsistentDecomposition, SimplexError, UqscoreError
+from uqscore.measures import COMPONENTS, Beliefs, ScoringRule, SecondOrderSample, _component_scores, decompose
+from uqscore.ood import run_ood
+from uqscore.records import parse_predictions
+from uqscore.selective import order_by_uncertainty
 
 from conftest import RULES
 
@@ -53,7 +56,7 @@ def assert_scores_exact(pool, case):
         triples = [decompose(rule, SecondOrderSample(row)) for row in pool.members]
         for component in COMPONENTS:
             want = np.array([t.component(component) for t in triples])
-            got = _pool_scores(pool, rule, component)
+            got = _component_scores(rule, [pool], component)
             assert got.tobytes() == want.tobytes(), (case, rule, component)
             assert got.tobytes() == ref_pool_scores(pool.members, rule, component).tobytes(), (case, rule, component)
 
@@ -120,9 +123,9 @@ class TestLeafSpaceScores:
     def test_one_member(self, k):
         # M = 1 keeps its own branch: the mean is the member, so nothing is epistemic
         rng = np.random.default_rng(k)
-        pool = PoolBeliefs.of(awkward_table(rng, k, 30)[:, None, :])
+        pool = Beliefs.of(awkward_table(rng, k, 30)[:, None, :])
         assert_scores_exact(pool, k)
-        assert not _pool_scores(pool, measures.ScoringRule.LOG, "epistemic").any()
+        assert not _component_scores(measures.ScoringRule.LOG, [pool], "epistemic").any()
 
     @pytest.mark.parametrize("k", [2, 3, 257])
     def test_argmax_ties_of_the_mean(self, k):
@@ -136,7 +139,7 @@ class TestLeafSpaceScores:
         leaves = np.concatenate([table, mirrored])
         ids = np.column_stack([np.arange(20), np.arange(20, 40)])
         members = np.take(leaves, ids, axis=0)
-        pool = PoolBeliefs(members, measures._build_beliefs(members, check_members=False), ids, leaves)
+        pool = Beliefs(members, measures._build_beliefs(members, check_members=False), ids, leaves)
         assert (pool.means[:, 0] == pool.means[:, 1]).all() and (pool.means.argmax(axis=1) == 0).all()
         assert_scores_exact(pool, k)
 
@@ -155,7 +158,7 @@ class TestLeafSpaceScores:
 class TestPoolBeliefs:
     def test_of_copies_checks_and_indexes_each_member(self):
         rows = np.array([[[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5], [1.0, 0.0]]])
-        pool = PoolBeliefs.of(rows)
+        pool = Beliefs.of(rows)
         assert len(pool) == 2 and isinstance(len(pool), int)
         assert pool.members is not rows and np.array_equal(pool.members, rows)
         assert not pool.members.flags.writeable and pool.members.flags.c_contiguous
@@ -173,7 +176,7 @@ class TestPoolBeliefs:
     )
     def test_of_rejects_bad_members(self, rows, text):
         with pytest.raises(SimplexError, match=text):
-            PoolBeliefs.of(rows)
+            Beliefs.of(rows)
 
     def test_predict_pool_fields_are_read_only(self):
         data = make_blobs(3, 20, d=2, spread=0.5, centers_seed=2, noise_seed=3)
@@ -203,16 +206,85 @@ class TestOracle:
         data, split = make_epistemic_gap(25, 8, seed=3)
         args = (data, split, GAP_LEARNER, AcquisitionStrategy.parse(strategy), 5, 4, 3)
         got = run_active_learning(*args)
-        monkeypatch.setattr(active, "_pool_scores", lambda pool, r, c: ref_pool_scores(pool.members, r, c))
+        monkeypatch.setattr(active, "_component_scores", lambda r, pools, c: ref_pool_scores(pools[0].members, r, c))
         want = run_active_learning(*args)
         assert got.labeled_counts.tolist() == want.labeled_counts.tolist()
         assert got.test_losses.tobytes() == want.test_losses.tobytes()
 
     def test_ood_trend_aurocs_match_the_per_pair_body(self, monkeypatch):
         got = ood_trend_run(2)
-        monkeypatch.setattr(benchmarks, "_pool_scores", lambda pool, r, c: ref_pool_scores(pool.members, r, c))
+        per_pool = lambda r, pools, c: np.concatenate([ref_pool_scores(p.members, r, c) for p in pools])  # noqa: E731
+        monkeypatch.setattr(ood, "_component_scores", per_pool)
         want = ood_trend_run(2)
         assert got == want
+
+
+def fitted_pool(x_seed, n):
+    data = make_blobs(3, 25, d=2, spread=0.7, centers_seed=3, noise_seed=4)
+    learner = fit(LearnerConfig(n_trees=9, depth_cap=4), data, seed=5)
+    return predict_pool(learner, np.random.default_rng(x_seed).normal(0.0, 2.0, size=(n, 2)))
+
+
+def mixed_beliefs(tmp_path):
+    """One list of every kind of belief: a fitted pool, samples of three shapes, parsed file views, a dust pool."""
+    rng = np.random.default_rng(11)
+    data = make_blobs(3, 12, d=2, spread=0.4, centers_seed=1, noise_seed=2)
+    dust_learner = fit(LearnerConfig(n_trees=8, depth_cap=5, alpha=5e-324), data, seed=3)
+    dust = predict_pool(dust_learner, np.random.default_rng(4).normal(0.0, 2.0, size=(60, 2)))
+    assert dust.leaves is not dust_learner.leaf  # rebuilt by Beliefs.of, each member its own row
+    path = tmp_path / "views.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (m, k) in enumerate([(4, 3)] * 6 + [(2, 5)] * 3 + [(9, 3)]):
+            fh.write(json.dumps({"id": f"r{i}", "samples": rng.dirichlet(np.full(k, 0.5), m).tolist()}) + "\n")
+    views = [rec.sample for rec in parse_predictions(path)]
+    samples = [SecondOrderSample(rng.dirichlet(np.ones(k), m)) for m, k in [(1, 3), (9, 3), (5, 7)]]
+    return [samples[0], fitted_pool(6, 40), *views[:4], samples[1], dust, samples[2], *views[4:]]
+
+
+class TestOneScoringPath:
+    def test_mixed_list_equals_per_belief_decompose(self, tmp_path):
+        items = mixed_beliefs(tmp_path)
+        rows = [view for item in items for view in item]
+        got = measures._decompose_samples(RULES, items)
+        assert got.shape == (len(RULES), 3, len(rows)) == (4, 3, 1 + 40 + 4 + 1 + 60 + 1 + 6)
+        for r, rule in enumerate(RULES):
+            triples = [decompose(rule, view) for view in rows]
+            assert triples == [decompose(rule, SecondOrderSample(view.matrix)) for view in rows]
+            want = np.array([[t.component(c) for t in triples] for c in COMPONENTS])
+            oracle = [np.concatenate([ref_pool_scores(item.members, rule, c) for item in items]) for c in COMPONENTS]
+            oracle = np.array(oracle)
+            assert got[r].tobytes() == want.tobytes() == oracle.tobytes(), rule
+
+    def test_mixed_list_raises_the_first_bad_belief_in_row_order(self, tmp_path, monkeypatch):
+        items = mixed_beliefs(tmp_path)
+        log, brier = ScoringRule.LOG, ScoringRule.BRIER
+        entropy_log, entropy_brier = measures._ENTROPY_KERNELS[log], measures._ENTROPY_KERNELS[brier]
+        # planted faults: each entropy is off for beliefs that favour one class
+        monkeypatch.setitem(measures._ENTROPY_KERNELS, log, lambda t: entropy_log(t) + 0.25 * (t[..., 1] > 0.7))
+        monkeypatch.setitem(measures._ENTROPY_KERNELS, brier, lambda t: entropy_brier(t) + 0.25 * (t[..., 0] > 0.6))
+        faults = []
+        for i, view in enumerate(view for item in items for view in item):
+            for rule in (log, brier):
+                try:
+                    decompose(rule, view)
+                except InconsistentDecomposition as exc:
+                    faults.append((i, str(exc)))
+        assert 1 <= faults[0][0] < 41  # inside the fitted pool, the second item
+        with pytest.raises(InconsistentDecomposition) as err:
+            measures._decompose_samples([log, brier], items)
+        assert str(err.value) == faults[0][1]
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_pools_rank_as_their_rows(self, rule):
+        pool_a, pool_b = fitted_pool(7, 30), fitted_pool(8, 25)
+        for component in COMPONENTS:
+            got = run_ood([pool_a], [pool_b], rule, component)
+            assert got == run_ood(list(pool_a), list(pool_b), rule, component)
+            assert got == run_ood([SecondOrderSample(m) for m in pool_a.members], list(pool_b), rule, component)
+            assert (got.n_id, got.n_ood) == (30, 25)
+            ordering = order_by_uncertainty([pool_a], rule, component)
+            assert ordering.perm.tolist() == order_by_uncertainty(list(pool_a), rule, component).perm.tolist()
+            assert ordering.criterion == f"{rule}:{component}"
 
 
 class TestInputs:

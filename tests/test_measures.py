@@ -9,6 +9,7 @@ import uqscore.measures as measures
 from uqscore.errors import InconsistentDecomposition, LabelOutOfRange, SimplexError, UqscoreError
 from uqscore.measures import (
     COMPONENTS,
+    Beliefs,
     CategoricalDistribution,
     ScoringRule,
     SecondOrderSample,
@@ -454,12 +455,14 @@ class TestDecomposeArrays:
         raw[::3, :, -1] = 0.0
         members = np.stack([SecondOrderSample(matrix).matrix for matrix in raw])
         means = members.mean(axis=-2)
+        beliefs = Beliefs.of(members)
+        assert np.array_equal(beliefs.means, means)
         for rule in RULES:
-            batched = _decompose_arrays(rule, members, means)
+            batched = _decompose_arrays(rule, beliefs)
             assert all(part.shape == (30,) for part in batched)
             for i, matrix in enumerate(members):
-                single = _decompose_arrays(rule, matrix, means[i])
                 sample = SecondOrderSample(matrix)
+                single = [part.item() for part in _decompose_arrays(rule, sample)]
                 triple = decompose(rule, sample)
                 generic = generic_triple(rule, sample)
                 for j, name in enumerate(COMPONENTS):
@@ -540,6 +543,72 @@ class TestDecomposeSamples:
             _decompose_samples(rules, samples)
         assert str(err.value) == want
         assert isinstance(err.value, UqscoreError) and isinstance(err.value, ValueError)
+
+
+class TestBeliefs:
+    def test_of_copies_checks_and_gives_each_member_its_own_row(self, rng):
+        raw = rng.dirichlet(np.ones(4), size=(5, 3))
+        raw[1, 2] = [0.5, 0.5 + 5e-10, 0.0, -5e-13]  # float noise within tolerance, clipped
+        beliefs = Beliefs.of(raw)
+        assert len(beliefs) == 5 and (beliefs.m, beliefs.k) == (3, 4)
+        assert not np.shares_memory(beliefs.members, raw) and raw[1, 2, 3] == -5e-13
+        assert np.array_equal(beliefs.members, np.clip(raw, 0.0, 1.0)) and beliefs.members.flags.c_contiguous
+        assert np.array_equal(beliefs.means, beliefs.members.mean(axis=1))
+        assert beliefs.leaf_ids.tolist() == np.arange(15).reshape(5, 3).tolist()
+        assert np.array_equal(beliefs.leaves, beliefs.members.reshape(15, 4))
+        for array in (beliefs.members, beliefs.means, beliefs.leaf_ids, beliefs.leaves):
+            assert not array.flags.writeable
+
+    def test_renormalize_is_validate_simplex_row_by_row(self, rng):
+        raw = rng.random((6, 4, 3)) * 3.0
+        raw[2, 1, 0] = -0.25  # clamped to zero
+        beliefs = Beliefs.of(raw, renormalize=True)
+        want = [validate_simplex(row, renormalize=True).probs for row in raw.reshape(-1, 3)]
+        assert beliefs.members.tobytes() == np.array(want).tobytes()
+        with pytest.raises(SimplexError, match=r"^entry 3\.0 exceeds 1$"):
+            Beliefs.of([[[3.0, 1.0]]])
+
+    @pytest.mark.parametrize(
+        "members, renormalize, text",
+        [
+            (np.full((3, 2), 0.5), False, r"^expected an \(n, M, K\) array of member distributions with M >= 1$"),
+            (np.zeros((3, 0, 2)), False, r"^expected an \(n, M, K\) array of member distributions with M >= 1$"),
+            ([[[0.5, 0.6]]], False, r"^entries sum to 1\.1, not 1$"),
+            ([[[0.5, np.nan]]], False, r"^probabilities must be finite$"),
+            ([[[0.5, np.nan]]], True, r"^probabilities must be finite$"),
+            ([[[0.5, 0.5]], [[-1.0, 0.0]]], True, r"^entries sum to 0\.0; cannot renormalize$"),
+        ],
+    )
+    def test_of_raises_the_pinned_texts(self, members, renormalize, text):
+        with pytest.raises(SimplexError, match=text):
+            Beliefs.of(members, renormalize)
+
+    def test_items_are_read_only_sample_views(self, rng):
+        raw = rng.dirichlet(np.ones(3), size=(4, 5))
+        beliefs = Beliefs.of(raw)
+        views = list(beliefs)
+        assert len(views) == 4 and [type(view) for view in views] == [SecondOrderSample] * 4
+        for i, view in enumerate(views):
+            sample = SecondOrderSample(raw[i])
+            for got in (view, beliefs[i], beliefs[i - 4]):
+                assert got == sample and len(got) == 1 and (got.m, got.k) == (5, 3)
+                assert got.mean == sample.mean and got.means.tobytes() == sample.means.tobytes()
+                assert got.leaf_ids.tolist() == sample.leaf_ids.tolist() == [list(range(5))]
+                assert all(np.shares_memory(a, beliefs.members) for a in (got.members, got.leaves, got.matrix))
+                assert np.shares_memory(got.means, beliefs.means)
+                assert not any(a.flags.writeable for a in (got.members, got.means, got.leaf_ids, got.leaves))
+        assert views[0].leaf_ids is views[3].leaf_ids  # one shared id row
+        with pytest.raises(IndexError):
+            beliefs[4]
+        with pytest.raises(IndexError):
+            beliefs[-5]
+
+    def test_a_sample_is_beliefs_of_one(self):
+        sample = SecondOrderSample([[0.9, 0.1], [0.5, 0.5]])
+        assert isinstance(sample, Beliefs) and len(sample) == 1
+        assert sample.members.shape == (1, 2, 2) and sample.means.tolist() == [[0.7, 0.3]]
+        assert sample.leaf_ids.tolist() == [[0, 1]] and sample.leaves is sample.matrix
+        assert sample[0] == sample and list(sample) == [sample]
 
 
 class TestUncertaintyTriple:

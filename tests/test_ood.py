@@ -153,8 +153,8 @@ class TestRunOod:
 @pytest.mark.parametrize("rule", list(ScoringRule))
 def test_pool_scores_equal_per_row_decompose(rule):
     # ood_trend_run and acquire score predict_pool's array; each value must equal decompose(SecondOrderSample(row))
-    from uqscore.active import LearnerConfig, TabularDataset, _pool_scores, _two_blobs, fit, predict_pool
-    from uqscore.measures import COMPONENTS, decompose
+    from uqscore.active import LearnerConfig, TabularDataset, _two_blobs, fit, predict_pool
+    from uqscore.measures import COMPONENTS, _component_scores, decompose
 
     rng = np.random.default_rng(5)
     learner = fit(LearnerConfig(n_trees=12, depth_cap=4), TabularDataset(*_two_blobs(rng, 40, 1.1), 2), seed=5)
@@ -162,4 +162,4 @@ def test_pool_scores_equal_per_row_decompose(rule):
     triples = [decompose(rule, SecondOrderSample(row)) for row in pool.members]
     for component in COMPONENTS:
         want = np.array([t.component(component) for t in triples])
-        assert _pool_scores(pool, rule, component).tobytes() == want.tobytes()
+        assert _component_scores(rule, [pool], component).tobytes() == want.tobytes()

@@ -4,13 +4,13 @@ from uqscore import active, errors, measures, ood, records, selective
 MODULES = (measures, selective, ood, active, records)
 
 PUBLIC_NAMES = {
-    "COMPONENTS", "SIMPLEX_TOLERANCE", "CategoricalDistribution", "ScoringRule", "SecondOrderSample",
+    "Beliefs", "COMPONENTS", "SIMPLEX_TOLERANCE", "CategoricalDistribution", "ScoringRule", "SecondOrderSample",
     "UncertaintyTriple", "decompose", "divergence", "entropy", "expected_loss", "generic_triple", "loss",
     "validate_simplex",
     "AulcResult", "Ordering", "aulc", "aulc_weighted", "harmonic_weights", "optimal_aulc_bruteforce",
     "order_by_uncertainty", "run_selective_prediction",
     "AurocResult", "ScoreSplit", "auroc", "auroc_pairwise", "run_ood",
-    "AcquisitionStrategy", "ActiveLearningTrace", "EnsembleLearner", "LearnerConfig", "PoolBeliefs", "TabularDataset",
+    "AcquisitionStrategy", "ActiveLearningTrace", "EnsembleLearner", "LearnerConfig", "TabularDataset",
     "acquire", "ensemble_zero_one_loss", "fit", "make_blobs", "make_epistemic_gap", "predict_pool",
     "run_active_learning",
     "PredictionRecord", "parse_predictions", "write_predictions",

@@ -155,6 +155,22 @@ class TestEncoding:
         assert [r.id for r in records] == ["\u00e9t\u00e9", "\u2603"]
         assert records[1].label == 2
 
+    def test_lone_cr_inside_a_record_is_json_whitespace(self, tmp_path):
+        # records end at LF only, so a CR inside a line is whitespace between JSON tokens
+        line = '{"id": "a",\r "samples": [[0.5, 0.5]], "label": 1}'
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(line.encode() + b"\n")
+        (rec,) = parse_predictions(path)
+        want = json.loads(line)
+        assert (rec.id, rec.sample.matrix.tolist(), rec.label) == (want["id"], want["samples"], want["label"])
+
+    def test_cr_only_file_is_one_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": "a", "samples": [[0.5, 0.5]]}\r{"id": "b", "samples": [[0.5, 0.5]]}\r')
+        with pytest.raises(Malformed, match=r"^line 1: invalid JSON \(Extra data\)$") as err:
+            parse_predictions(path)
+        assert err.value.line == 1
+
 
 class TestRoundTrip:
     def test_bit_for_bit(self, tmp_path, rng):
