@@ -16,7 +16,6 @@ label distributions:
 import numpy as np
 
 from uqscore import (
-    CategoricalDistribution,
     Ordering,
     ScoringRule,
     SecondOrderSample,
@@ -51,10 +50,7 @@ def make_corpus(seed, n_families=30):
 
 
 def expected_aulc(samples, truths, task_rule, unc_rule, component):
-    costs = [
-        expected_loss(task_rule, s.mean, CategoricalDistribution(t))
-        for s, t in zip(samples, truths)
-    ]
+    costs = expected_loss(task_rule, np.array([s.mean for s in samples]), truths)  # one row per instance
     return aulc(costs, order_by_uncertainty(samples, unc_rule, component)).aulc
 
 

@@ -21,20 +21,17 @@ BELIEFS = {
 
 def show(name, members):
     sample = SecondOrderSample(members)
-    print(f"\n{name}  (M={sample.m}, mean={np.round(sample.mean.probs, 3)})")
+    print(f"\n{name}  (M={sample.m}, mean={np.round(sample.mean, 3)})")
     print(f"  {'rule':10s} {'total':>9s} {'aleatoric':>10s} {'epistemic':>10s}   oracle gap")
     for rule in ScoringRule:
-        closed = decompose(rule, sample)
-        oracle = generic_triple(rule, sample)
+        total, aleatoric, epistemic = (part[0] for part in decompose(rule, sample))  # (1,) arrays: one belief
+        oracle = generic_triple(rule, sample)  # floats
         gap = max(
-            abs(closed.total - oracle.total),
-            abs(closed.aleatoric - oracle.aleatoric),
-            abs(closed.epistemic - oracle.epistemic),
+            abs(total - oracle.total),
+            abs(aleatoric - oracle.aleatoric),
+            abs(epistemic - oracle.epistemic),
         )
-        print(
-            f"  {rule.value:10s} {closed.total:9.5f} {closed.aleatoric:10.5f} "
-            f"{closed.epistemic:10.5f}   {gap:.1e}"
-        )
+        print(f"  {rule.value:10s} {total:9.5f} {aleatoric:10.5f} {epistemic:10.5f}   {gap:.1e}")
 
 
 def main():
@@ -51,7 +48,7 @@ def main():
     print("    leaves the winning class unchanged:")
     sample = SecondOrderSample([[0.9, 0.1], [0.6, 0.4]])
     for rule in (ScoringRule.ZERO_ONE, ScoringRule.LOG):
-        print(f"      {rule.value}: EU = {decompose(rule, sample).epistemic:.5f}")
+        print(f"      {rule.value}: EU = {decompose(rule, sample).epistemic[0]:.5f}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .ood import *  # noqa: F403
 from .active import *  # noqa: F403
 from .records import *  # noqa: F403
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # each module's __all__ is the one list of its public names, so a name is added or dropped in one place
 __all__ = [*measures.__all__, *selective.__all__, *ood.__all__, *active.__all__, *records.__all__, "__version__"]

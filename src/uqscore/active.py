@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BadConfig, UqscoreError
 from .measures import Beliefs, ScoringRule, _build_beliefs, _check_labels, _check_simplex_rows, _component_scores
-from .measures import _loss_arrays, check_component
+from .measures import check_component, loss
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
 
 __all__ = [
@@ -309,7 +309,7 @@ def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.n
         raise UqscoreError(f"labels of shape {np.shape(labels)} for {ids.shape[0]} inputs")
     if ids.shape[0] == 0:
         raise UqscoreError("no inputs to take the zero-one loss over")
-    return float(np.mean(_loss_arrays(ScoringRule.ZERO_ONE, np.take(learner.leaf, ids, axis=0).mean(axis=1), labels)))
+    return float(np.mean(loss(ScoringRule.ZERO_ONE, np.take(learner.leaf, ids, axis=0).mean(axis=1), labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +511,11 @@ class ActiveLearningTrace:
         counts = np.array(self.labeled_counts, dtype=np.intp)  # copies
         losses = np.array(self.test_losses, dtype=np.float64)
         if counts.shape != losses.shape or counts.ndim != 1 or counts.size < 1:
-            raise ValueError("trace needs matching 1-d count and loss arrays")
+            raise UqscoreError("trace needs matching 1-d count and loss arrays")
         if np.any(np.diff(counts) <= 0):
-            raise ValueError("labeled counts must increase every round")
+            raise UqscoreError("labeled counts must increase every round")
         if np.any((losses < 0) | (losses > 1)):
-            raise ValueError("zero-one test losses must lie in [0, 1]")
+            raise UqscoreError("zero-one test losses must lie in [0, 1]")
         counts.setflags(write=False)
         losses.setflags(write=False)
         object.__setattr__(self, "labeled_counts", counts)

@@ -18,11 +18,9 @@ forms.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import rel_entr, xlogy
@@ -33,7 +31,6 @@ __all__ = [
     "SIMPLEX_TOLERANCE",
     "COMPONENTS",
     "ScoringRule",
-    "CategoricalDistribution",
     "Beliefs",
     "SecondOrderSample",
     "UncertaintyTriple",
@@ -77,50 +74,22 @@ def check_component(component: str) -> str:
     return component
 
 
-@dataclass(frozen=True, eq=False)
-class CategoricalDistribution:
-    """A point on the probability simplex over K >= 2 classes.
-
-    The wrapped array is copied, cast to float64, and marked read-only.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64, copy=True).reshape(-1)
-        _check_simplex_rows(arr[None, :])
-        np.clip(arr, 0.0, 1.0, out=arr)  # float-noise entries within tolerance
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CategoricalDistribution):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
-
-    def __repr__(self) -> str:
-        return f"CategoricalDistribution({np.array2string(self.probs, separator=', ')})"
-
-
 def _check_simplex_rows(rows: np.ndarray) -> None:
     """Raise unless every row of ``rows`` is a valid simplex point."""
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise SimplexError("expected a non-empty probability vector")
     if rows.shape[1] < 2:
         raise SimplexError("a categorical distribution needs at least two classes")
-    if not np.all(np.isfinite(rows)):
+    low, high = float(rows.min(initial=0.0)), float(rows.max(initial=1.0))  # a NaN propagates; no rows pass
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise SimplexError("probabilities must be finite")
-    if np.any(rows < -1e-12):
-        raise SimplexError(f"negative entry {float(rows.min())!r}")
-    if np.any(rows > 1.0 + SIMPLEX_TOLERANCE):
-        raise SimplexError(f"entry {float(rows.max())!r} exceeds 1")
+    if low < -1e-12:
+        raise SimplexError(f"negative entry {low!r}")
+    if high > 1.0 + SIMPLEX_TOLERANCE:
+        raise SimplexError(f"entry {high!r} exceeds 1")
     sums = rows.sum(axis=1)
     bad = np.abs(sums - 1.0) > SIMPLEX_TOLERANCE
-    if np.any(bad):
+    if bad.any():
         raise SimplexError(f"entries sum to {float(sums[bad][0])!r}, not 1")
 
 
@@ -151,7 +120,7 @@ def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarra
 def _prepare_rows(rows: np.ndarray, renormalize: bool) -> np.ndarray:
     """Reject non-finite (N, K) rows; with ``renormalize``, clamp negatives and divide each row by its sum.
 
-    The simplex check itself is left to the distribution or sample built from the result.
+    The simplex check itself is left to the caller.
     """
     if not np.all(np.isfinite(rows)):
         raise SimplexError("probabilities must be finite")
@@ -165,22 +134,27 @@ def _prepare_rows(rows: np.ndarray, renormalize: bool) -> np.ndarray:
     return rows / totals[:, None]
 
 
-def validate_simplex(raw: Sequence[float], renormalize: bool = False) -> CategoricalDistribution:
-    """Build a :class:`CategoricalDistribution` from a raw vector.
+def validate_simplex(raw, renormalize: bool = False) -> np.ndarray:
+    """The checked, clipped, read-only float64 copy of a raw probability vector, or of (..., K) rows of them.
 
-    With ``renormalize=False`` the vector must already satisfy the simplex
+    With ``renormalize=False`` each row must already satisfy the simplex
     constraints up to :data:`SIMPLEX_TOLERANCE`.  With ``renormalize=True``
-    entries are clamped to be nonnegative and divided by their sum, which is
-    the intended ingestion path for 32-bit predictions read from files.
+    entries are clamped to be nonnegative and divided by their row's sum, which
+    is the intended ingestion path for 32-bit predictions read from files.
+    Entries within tolerance of [0, 1] are clipped into it.
 
     Raises :class:`SimplexError` for a non-finite entry, for a negative entry,
     an entry above one or a sum off one in strict mode, and, with
     ``renormalize=True``, for clamped entries that sum to zero.
     """
-    arr = np.asarray(raw, dtype=np.float64).reshape(-1)
+    arr = np.array(raw, dtype=np.float64, ndmin=1)  # a copy
     if arr.size == 0:
         raise SimplexError("expected a non-empty probability vector")
-    return CategoricalDistribution(_prepare_rows(arr[None, :], renormalize)[0])
+    rows = _prepare_rows(arr.reshape(-1, arr.shape[-1]), renormalize)
+    _check_simplex_rows(rows)
+    arr = np.clip(rows, 0.0, 1.0, out=rows).reshape(arr.shape)  # float-noise entries within tolerance
+    arr.setflags(write=False)
+    return arr
 
 
 class Beliefs:
@@ -267,10 +241,9 @@ class SecondOrderSample(Beliefs):
         return self.leaves
 
     @property
-    def mean(self) -> CategoricalDistribution:
-        mean = object.__new__(CategoricalDistribution)  # the checked read-only row, not copied
-        object.__setattr__(mean, "probs", self.means[0])
-        return mean
+    def mean(self) -> np.ndarray:
+        """The checked read-only (K,) mean row, not copied."""
+        return self.means[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SecondOrderSample):
@@ -306,35 +279,24 @@ def _build_samples(matrices: Sequence[np.ndarray], renormalize: bool) -> list[Se
     return samples
 
 
-@dataclass(frozen=True)
-class UncertaintyTriple:
-    """Total, aleatoric, and epistemic uncertainty under one scoring rule.
+class UncertaintyTriple(NamedTuple):
+    """Total, aleatoric and epistemic uncertainty under one scoring rule, fields named as :data:`COMPONENTS`.
 
-    Additive by construction: total = aleatoric + epistemic within 1e-9
-    (extended-real aware), and epistemic >= -1e-12 by properness.
+    :func:`decompose` gives (n,) arrays, one entry per belief, and :func:`generic_triple` floats.  Both check that
+    total = aleatoric + epistemic within 1e-9 (extended-real aware) and epistemic >= -1e-12 by properness.
     """
 
-    total: float
-    aleatoric: float
-    epistemic: float
-    rule: ScoringRule
-
-    def __post_init__(self):
-        _check_triples(self.total, self.aleatoric, self.epistemic)
-
-    def component(self, name: str) -> float:
-        """Return one of the three components by name."""
-        check_component(name)
-        return getattr(self, name)
+    total: np.ndarray
+    aleatoric: np.ndarray
+    epistemic: np.ndarray
 
 
 def _check_triples(total, aleatoric, epistemic) -> None:
-    """Raise :class:`InconsistentDecomposition` at the first (float or array) triple not additive or not proper."""
-    # inf - inf is a silent nan for floats but warns for arrays; entering errstate costs microseconds
-    with np.errstate(invalid="ignore") if isinstance(total, np.ndarray) else contextlib.nullcontext():
+    """Raise :class:`InconsistentDecomposition` at the first triple (arrays or floats) not additive or not proper."""
+    with np.errstate(invalid="ignore"):  # inf - inf
         ok = (abs(total - aleatoric - epistemic) <= 1e-9) & (epistemic >= -1e-12)
         ok &= (total >= -1e-12) & (aleatoric >= -1e-12)
-    if ok is True or np.all(ok):  # floats give a plain bool, which np.all would take microseconds over
+    if np.all(ok):
         return
     # only infinities, NaNs and faults get here; walk them in order with the scalar rules
     for i in np.flatnonzero(~np.asarray(ok)):
@@ -418,15 +380,18 @@ _DIVERGENCE_KERNELS = {
 
 
 def _check_labels(labels, k: int) -> np.ndarray:
-    """The one label rule: 1-based labels, an array or an iterable, as an intp array; checked in order.
+    """The one label rule: 1-based labels, one label, an array or an iterable, as an intp array; checked in order.
 
     Integer dtypes and ints of any size pass (object arrays hold ints past 64 bits); bools, floats,
-    strings, ``None`` and sequences do not, and each label lies in 1..k.  Shapes are the caller's.
+    strings, ``None`` and sequences do not, and each label lies in 1..k.  An array keeps its shape, one
+    label gives a 0-d array and an iterable a 1-d one.
     """
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu" and ((labels >= 1) & (labels <= k)).all():
         return labels.astype(np.intp)  # the common case, without a walk
+    if isinstance(labels, str) or not hasattr(labels, "__iter__"):
+        return np.array(_check_label(labels, k), dtype=np.intp)
     items = labels.ravel().tolist() if isinstance(labels, np.ndarray) else labels
-    return np.array([_check_label(y, k) for y in items], dtype=np.intp)
+    return np.array([_check_label(y, k) for y in items], dtype=np.intp).reshape(getattr(labels, "shape", -1))
 
 
 def _check_label(y, k: int) -> int:
@@ -438,12 +403,15 @@ def _check_label(y, k: int) -> int:
     return int(y)
 
 
-def _loss_arrays(rule: ScoringRule, probs: np.ndarray, labels) -> np.ndarray:
-    """Pointwise loss of each checked (..., K) row of ``probs`` at its 1-based label: the one loss body.
+def loss(rule: ScoringRule, probs, labels) -> np.ndarray:
+    """Pointwise loss of each (..., K) row of ``probs`` at its 1-based label in ``labels``: the one loss body.
 
-    Log is glibc's ``log``, as ``math.log`` is (``+inf`` at zero); spherical takes each row's norm from its
-    own dot product, as ``np.linalg.norm`` of one row does; zero-one's argmax ties go to the smallest index.
+    A (K,) row with one label gives a 0-d loss.  The rows are taken as checked (by :func:`validate_simplex`, or
+    a belief's ``means``) and nothing is clamped, so the log loss is ``+inf`` where the label's probability is
+    exactly zero.  Log is glibc's ``log``, as ``math.log`` is; spherical takes each row's norm from its own dot
+    product, as ``np.linalg.norm`` of one row does; zero-one's argmax ties go to the smallest index.
     """
+    probs = np.asarray(probs, dtype=np.float64)
     y = _check_labels(labels, probs.shape[-1])[..., None] - 1
     p_y = np.take_along_axis(probs, y, axis=-1)[..., 0]
     if rule is ScoringRule.LOG:
@@ -455,15 +423,6 @@ def _loss_arrays(rule: ScoringRule, probs: np.ndarray, labels) -> np.ndarray:
     if rule is ScoringRule.ZERO_ONE:
         return (np.argmax(probs, axis=-1) != y[..., 0]).astype(np.float64)
     return 1.0 - p_y / np.sqrt((probs[..., None, :] @ probs[..., :, None])[..., 0, 0])
-
-
-def loss(rule: ScoringRule, prediction: CategoricalDistribution, label: int) -> float:
-    """Pointwise loss of predicting ``prediction`` when class ``label`` (1-based) occurs: a one-row view of the core.
-
-    The log loss is ``+inf`` when the realized label's predicted probability is exactly zero; nothing is
-    clamped here (use ``validate_simplex(..., renormalize=True)`` upstream if clamped inputs are wanted).
-    """
-    return float(_loss_arrays(rule, prediction.probs[None, :], [label])[0])
 
 
 def _loss_table(rule: ScoringRule, rows: np.ndarray) -> np.ndarray:
@@ -484,52 +443,54 @@ def _loss_table(rule: ScoringRule, rows: np.ndarray) -> np.ndarray:
     return 1.0 - rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def expected_loss(
-    rule: ScoringRule,
-    prediction: CategoricalDistribution,
-    truth: CategoricalDistribution,
-) -> float:
-    """Expected pointwise loss under labels drawn from ``truth``: K core losses in blocks, added in label order.
+def _checked_pair(prediction, truth) -> Sequence[np.ndarray]:
+    """Both inputs through :func:`validate_simplex`, broadcast against each other; their class counts must agree."""
+    prediction, truth = validate_simplex(prediction), validate_simplex(truth)
+    if prediction.shape[-1] != truth.shape[-1]:
+        raise UqscoreError(f"prediction has K={prediction.shape[-1]}, truth has K={truth.shape[-1]}")
+    return np.broadcast_arrays(prediction, truth)
 
-    A zero-probability label contributes zero even when its loss is
-    infinite (the 0 * inf := 0 convention that keeps entropies finite).
+
+def expected_loss(rule: ScoringRule, prediction, truth) -> np.ndarray:
+    """Expected pointwise loss of each (..., K) row of ``prediction`` under labels drawn from its row of ``truth``.
+
+    Each row's K losses come from :func:`loss` in blocks of labels and are added in label order.  A
+    zero-probability label contributes zero even when its loss is infinite (the 0 * inf := 0 convention
+    that keeps entropies finite).
     """
-    if prediction.k != truth.k:
-        raise UqscoreError(f"prediction has K={prediction.k}, truth has K={truth.k}")
-    step = max(1, _CHUNK_VALUES // truth.k)  # labels per core call, which bounds its (labels, K) temporaries
-    total = 0.0
-    for start in range(0, truth.k, step):
-        labels = np.arange(start + 1, min(start + step, truth.k) + 1)
-        losses = _loss_arrays(rule, np.broadcast_to(prediction.probs, (labels.size, truth.k)), labels)
-        for ty, ly in zip(truth.probs[start : start + step].tolist(), losses.tolist()):
-            total += ty * ly if ty != 0.0 else 0.0  # total is never -0.0, so adding 0.0 keeps its bits
-    return total
+    prediction, truth = _checked_pair(prediction, truth)
+    lead, k = truth.shape[:-1], truth.shape[-1]
+    step = max(1, _CHUNK_VALUES // truth.size)  # labels per loss call, which bounds its (..., labels, K) temporaries
+    blocks = []
+    for start in range(0, k, step):
+        labels = np.arange(start + 1, min(start + step, k) + 1)
+        rows = np.broadcast_to(prediction[..., None, :], (*lead, labels.size, k))
+        blocks.append(loss(rule, rows, np.broadcast_to(labels, rows.shape[:-1])))
+    with np.errstate(invalid="ignore"):  # 0 * inf, which the mask drops
+        terms = np.where(truth != 0.0, truth * np.concatenate(blocks, axis=-1), 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1]  # a running sum, in label order
 
 
-def entropy(rule: ScoringRule, truth: CategoricalDistribution) -> float:
-    """Generalized entropy: the expected loss of predicting ``truth`` against itself.
+def entropy(rule: ScoringRule, probs) -> np.ndarray:
+    """Generalized entropy of each (..., K) row of ``probs``: the expected loss of predicting the row against itself.
 
     Closed forms per rule: Shannon entropy (log), Gini impurity (Brier),
     one minus the maximum (zero-one), one minus the Euclidean norm
-    (spherical).  Always finite and nonnegative.
+    (spherical).  Always finite and nonnegative.  The rows are checked and
+    clipped by :func:`validate_simplex`.
     """
-    return float(_ENTROPY_KERNELS[rule](truth.probs))
+    return _ENTROPY_KERNELS[rule](validate_simplex(probs))
 
 
-def divergence(
-    rule: ScoringRule,
-    prediction: CategoricalDistribution,
-    truth: CategoricalDistribution,
-) -> float:
-    """Excess expected loss of predicting ``prediction`` instead of ``truth``.
+def divergence(rule: ScoringRule, prediction, truth) -> np.ndarray:
+    """Excess expected loss of predicting each (..., K) row of ``prediction`` instead of its row of ``truth``.
 
     Nonnegative for every rule by properness.  Zero only at
     ``prediction == truth`` for the strictly proper rules; the zero-one
-    divergence also vanishes whenever the two share an argmax.
+    divergence also vanishes whenever the two share an argmax.  Both are
+    checked and clipped by :func:`validate_simplex`.
     """
-    if prediction.k != truth.k:
-        raise UqscoreError(f"prediction has K={prediction.k}, truth has K={truth.k}")
-    return float(_DIVERGENCE_KERNELS[rule](prediction.probs, truth.probs))
+    return _DIVERGENCE_KERNELS[rule](*_checked_pair(prediction, truth))
 
 
 def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
@@ -542,7 +503,7 @@ def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
     total = _ENTROPY_KERNELS[rule](means)
     if m == 1:
         # the mean is the sole member, so there is exactly nothing to gain
-        return total, total, np.zeros_like(total)
+        return total, total.copy(), np.zeros_like(total)
     # each average over members is sum / M, np.mean's own arithmetic without its Python overhead
     aleatoric = np.take(_ENTROPY_KERNELS[rule](leaves), ids).sum(axis=-1) / m
     if rule is ScoringRule.ZERO_ONE:  # _divergence_zero_one's max and its t at p's argmax, both read by id
@@ -553,22 +514,25 @@ def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
     return total, aleatoric, epistemic
 
 
-def decompose(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyTriple:
-    """Closed-form uncertainty decomposition of a finite belief.
+def decompose(rule: ScoringRule, beliefs: Beliefs) -> UncertaintyTriple:
+    """Closed-form uncertainty decomposition of each finite belief, as (n,) arrays over the ``len(beliefs)`` rows.
 
     total = entropy of the member mean, aleatoric = average member entropy,
-    epistemic = average divergence of the mean from the members.
+    epistemic = average divergence of the mean from the members.  A
+    :class:`SecondOrderSample` gives (1,) arrays.  Each value has the bits that
+    the file and pool commands compute for its belief.
     """
-    total, aleatoric, epistemic = _decompose_arrays(rule, sample)
-    return UncertaintyTriple(total.item(), aleatoric.item(), epistemic.item(), rule)
+    triple = UncertaintyTriple(*_decompose_arrays(rule, beliefs))
+    _check_triples(*triple)
+    return triple
 
 
 def _decompose_samples(rules: Sequence[ScoringRule], items: Sequence[Beliefs]) -> np.ndarray:
-    """Per-belief :func:`decompose` under each rule, bit for bit, as an (R, 3, N) array over the items' N rows.
+    """The closed-form decomposition of each of the items' N rows under each rule, as an (R, 3, N) array.
 
     Items of one (n, M, K) shape are stacked per chunk, each member its own row; an item alone in its chunk,
-    such as a pool, is scored as it is.  One kernel pass per chunk and rule, then one check, which raises as
-    per-belief calls would: belief by belief, then rule by rule.
+    such as a pool, is scored as it is.  Each row gets the bits it would get alone.  One kernel pass per chunk
+    and rule, then one check, which raises at the first bad triple: belief by belief, then rule by rule.
     """
     shapes = [item.members.shape for item in items]
     starts = np.cumsum([0] + [shape[0] for shape in shapes])
@@ -611,4 +575,5 @@ def generic_triple(rule: ScoringRule, sample: SecondOrderSample) -> UncertaintyT
         au_terms = np.where(matrix > 0.0, matrix * member_losses, 0.0)
     total = float(tu_terms.sum(axis=1).mean())
     aleatoric = float(au_terms.sum(axis=1).mean())
-    return UncertaintyTriple(total, aleatoric, total - aleatoric, rule)
+    _check_triples(total, aleatoric, total - aleatoric)
+    return UncertaintyTriple(total, aleatoric, total - aleatoric)

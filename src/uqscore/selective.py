@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UqscoreError
-from .measures import Beliefs, ScoringRule, SecondOrderSample, _component_scores, _loss_arrays
+from .measures import Beliefs, ScoringRule, SecondOrderSample, _component_scores, loss
 from .measures import decompose  # noqa: F401 - unused, but bench/tracing.py wraps it here
 
 __all__ = [
@@ -43,7 +43,7 @@ class Ordering:
     def __post_init__(self):
         p = np.asarray(self.perm, dtype=np.intp)
         if sorted(p.tolist()) != list(range(p.shape[0])):
-            raise ValueError("perm is not a permutation of 0..n-1")
+            raise UqscoreError("perm is not a permutation of 0..n-1")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "perm", p)
@@ -84,14 +84,14 @@ def order_by_uncertainty(beliefs: Sequence[Beliefs], rule: ScoringRule, componen
     """
     values = _component_scores(rule, beliefs, component)
     if values.size == 0:
-        raise ValueError("cannot order an empty list of samples")
+        raise UqscoreError("cannot order an empty list of samples")
     return Ordering(np.argsort(values, kind="stable"), criterion=f"{rule}:{component}")
 
 
 def harmonic_weights(n: int) -> np.ndarray:
     """Tail sums w_j = sum_{k=j}^{n} 1/k for j = 1..n (decreasing, positive)."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise UqscoreError("need n >= 1")
     inv = 1.0 / np.arange(1, n + 1)
     return np.cumsum(inv[::-1])[::-1]
 
@@ -101,7 +101,7 @@ def _check_losses(losses) -> np.ndarray:
     if arr.shape[0] < 1:
         raise UqscoreError("need at least one instance loss")
     if not np.all(arr >= 0.0):  # also rejects NaN
-        raise ValueError("instance losses must be nonnegative (and not NaN)")
+        raise UqscoreError("instance losses must be nonnegative (and not NaN)")
     return arr
 
 
@@ -175,9 +175,9 @@ def run_selective_prediction(
     chosen uncertainty component, or descending when ``descending`` is set.
     """
     if len(predictions) == 0:
-        raise ValueError("need at least one labeled prediction")
+        raise UqscoreError("need at least one labeled prediction")
     samples, labels = zip(*predictions)
     ordering = order_by_uncertainty(samples, uncertainty_rule, component)
     if descending:
         ordering = ordering.reversed()
-    return aulc(_loss_arrays(task_rule, np.concatenate([s.means for s in samples]), labels), ordering)
+    return aulc(loss(task_rule, np.concatenate([s.means for s in samples]), labels), ordering)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from uqscore.measures import CategoricalDistribution, ScoringRule, SecondOrderSample
+from uqscore.measures import ScoringRule, SecondOrderSample, validate_simplex
 
 RULES = tuple(ScoringRule)
 STRICT_RULES = tuple(r for r in RULES if r.strictly_proper)
@@ -27,7 +27,7 @@ def simplex_arrays(draw, min_k=2, max_k=6):
 
 @st.composite
 def distributions(draw, min_k=2, max_k=6):
-    return CategoricalDistribution(draw(simplex_arrays(min_k, max_k)))
+    return validate_simplex(draw(simplex_arrays(min_k, max_k)))
 
 
 @st.composite
@@ -35,7 +35,7 @@ def distribution_pairs(draw, min_k=2, max_k=6):
     k = draw(st.integers(min_k, max_k))
     a = draw(simplex_arrays(k, k))
     b = draw(simplex_arrays(k, k))
-    return CategoricalDistribution(a), CategoricalDistribution(b)
+    return validate_simplex(a), validate_simplex(b)
 
 
 @st.composite

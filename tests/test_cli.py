@@ -99,7 +99,7 @@ class TestDecomposeCommand:
         from uqscore.measures import SecondOrderSample, decompose
 
         want = decompose(ScoringRule.LOG, SecondOrderSample([[0.9, 0.1], [0.5, 0.5]]))
-        assert parsed["total"] == want.total  # 17 significant digits round-trip
+        assert parsed["total"] == want.total.item()  # 17 significant digits round-trip
 
 
 class TestSelectiveCommand:

@@ -4,6 +4,11 @@ The inputs are written once, in this process, so their draws cannot vary with th
 then runs the commands in a fresh interpreter with ``NPY_DISABLE_CPU_FEATURES`` set: first with nothing
 disabled, then with every dispatch level above X86_V3 disabled, then with X86_V3 as well.  Only levels
 this numpy dispatches to and this CPU has are disabled; the others are printed as untested.
+
+A log whose bits follow the dispatch level shows up in the log entropy only where it changes the rounding of
+a sum: numpy's log loops differ mostly for inputs just below 1, whose ``t log t`` terms are tiny next to the
+others.  So one file holds K = 2 records whose entries lie within 1e-2 of 1 (closer, within a few ulps, the
+loops agree), where a planted ``np.log`` in the log entropy changes some total in the output.
 """
 
 import json
@@ -47,6 +52,12 @@ def write_inputs(tmp_path):
                 if labeled:
                     record["label"] = int(rng.integers(1, 11))
                 fh.write(json.dumps(record) + "\n")
+    files["binary"] = tmp_path / "binary.jsonl"
+    with open(files["binary"], "w", encoding="utf-8") as fh:
+        for i in range(400):
+            top = 1.0 - 1e-2 * rng.random((1, 3, 6)[i % 3])
+            samples = np.stack([top, 1.0 - top], axis=1)[:, rng.permutation(2)]
+            fh.write(json.dumps({"id": f"binary{i}", "samples": samples.tolist()}) + "\n")
     files["active"] = tmp_path / "active.json"
     files["active"].write_text(json.dumps({
         "dataset": {"kind": "blobs", "k": 3, "n_per_class": 20, "spread": 0.6},
@@ -61,6 +72,7 @@ def write_inputs(tmp_path):
 def commands(files, out):
     ind, ood = str(files["id"]), str(files["ood"])
     argvs = [["decompose", "--input", ind, "--rule", "all", "--out-dir", f"{out}/decompose"]]
+    argvs.append(["decompose", "--input", str(files["binary"]), "--rule", "log", "--out-dir", f"{out}/binary"])
     for rule in RULES:
         argvs.append(["selective", "--input", ind, "--rule", rule, "--component", "epistemic"])
         argvs[-1] += ["--out-dir", f"{out}/selective-{rule}"]
@@ -93,6 +105,6 @@ def test_outputs_do_not_depend_on_the_dispatch_level(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (off, done.stderr)
         results[off] = outputs(out)
-    assert len(results[()]) == 1 + 2 * len(RULES) + 1 + (1 + len(RULES))  # the active traces: random and each rule
+    assert len(results[()]) == 2 + 2 * len(RULES) + 1 + (1 + len(RULES))  # the active traces: random and each rule
     for off, got in results.items():
         assert got == results[()], f"outputs differ with {' '.join(off)} disabled"

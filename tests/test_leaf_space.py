@@ -55,7 +55,7 @@ def assert_scores_exact(pool, case):
     for rule in RULES:
         triples = [decompose(rule, SecondOrderSample(row)) for row in pool.members]
         for component in COMPONENTS:
-            want = np.array([t.component(component) for t in triples])
+            want = np.concatenate([getattr(t, component) for t in triples])
             got = _component_scores(rule, [pool], component)
             assert got.tobytes() == want.tobytes(), (case, rule, component)
             assert got.tobytes() == ref_pool_scores(pool.members, rule, component).tobytes(), (case, rule, component)
@@ -248,9 +248,8 @@ class TestOneScoringPath:
         got = measures._decompose_samples(RULES, items)
         assert got.shape == (len(RULES), 3, len(rows)) == (4, 3, 1 + 40 + 4 + 1 + 60 + 1 + 6)
         for r, rule in enumerate(RULES):
-            triples = [decompose(rule, view) for view in rows]
-            assert triples == [decompose(rule, SecondOrderSample(view.matrix)) for view in rows]
-            want = np.array([[t.component(c) for t in triples] for c in COMPONENTS])
+            want = np.concatenate([decompose(rule, view) for view in rows], axis=1)  # (3, rows)
+            assert want.tobytes() == np.concatenate([decompose(rule, SecondOrderSample(v.matrix)) for v in rows], 1).tobytes()
             oracle = [np.concatenate([ref_pool_scores(item.members, rule, c) for item in items]) for c in COMPONENTS]
             oracle = np.array(oracle)
             assert got[r].tobytes() == want.tobytes() == oracle.tobytes(), rule

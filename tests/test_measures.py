@@ -10,14 +10,12 @@ from uqscore.errors import InconsistentDecomposition, LabelOutOfRange, SimplexEr
 from uqscore.measures import (
     COMPONENTS,
     Beliefs,
-    CategoricalDistribution,
     ScoringRule,
     SecondOrderSample,
     UncertaintyTriple,
     _check_triples,
     _decompose_arrays,
     _decompose_samples,
-    _loss_arrays,
     _loss_table,
     decompose,
     divergence,
@@ -49,11 +47,11 @@ FROZEN_TRIPLES = {
 class TestValidateSimplex:
     def test_exact_point_accepted(self):
         dist = validate_simplex([0.5, 0.5])
-        assert dist.probs.tolist() == [0.5, 0.5]
+        assert dist.tolist() == [0.5, 0.5]
 
     def test_renormalize_scales(self):
         dist = validate_simplex([2.0, 2.0], renormalize=True)
-        assert dist.probs.tolist() == [0.5, 0.5]
+        assert dist.tolist() == [0.5, 0.5]
 
     def test_not_normalized_rejected(self):
         # sum = 0.9 deviates by 0.1, far beyond the 1e-9 tolerance
@@ -66,7 +64,7 @@ class TestValidateSimplex:
 
     def test_renormalize_clamps_negatives(self):
         dist = validate_simplex([-0.5, 1.0, 1.0], renormalize=True)
-        assert dist.probs.tolist() == [0.0, 0.5, 0.5]
+        assert dist.tolist() == [0.0, 0.5, 0.5]
 
     def test_zero_mass(self):
         with pytest.raises(SimplexError, match=r"^entries sum to 0\.0; cannot renormalize$"):
@@ -89,33 +87,36 @@ class TestValidateSimplex:
 
     def test_tiny_negative_noise_clamped(self):
         dist = validate_simplex([1.0 + 5e-13, -5e-13])
-        assert dist.probs[1] == 0.0
+        assert dist[1] == 0.0
 
     def test_immutable(self):
         dist = validate_simplex([0.5, 0.5])
         with pytest.raises(ValueError):
-            dist.probs[0] = 0.9
+            dist[0] = 0.9
 
-    def test_equality_by_value_and_repr(self):
-        dist = validate_simplex([0.25, 0.75])
-        assert dist == CategoricalDistribution(np.array([0.25, 0.75], dtype=np.float32))
-        assert dist != validate_simplex([0.75, 0.25])
-        assert dist.__eq__(dist.probs) is NotImplemented and dist != [0.25, 0.75]
-        assert repr(dist) == "CategoricalDistribution([0.25, 0.75])"
+    def test_rows_are_checked_into_a_float64_copy_of_their_shape(self):
+        raw = np.array([[[0.25, 0.75]], [[1.0 + 5e-13, -5e-13]]], dtype=np.float32)
+        rows = validate_simplex(raw)
+        assert rows.shape == (2, 1, 2) and rows.dtype == np.float64 and not rows.flags.writeable
+        assert rows.tolist() == [[[0.25, 0.75]], [[1.0, 0.0]]] and not np.shares_memory(rows, raw)
+        assert validate_simplex(np.float32([0.25, 0.75])).tolist() == [0.25, 0.75]
+        with pytest.raises(SimplexError, match=r"^entries sum to 0\.9, not 1$"):
+            validate_simplex([[0.5, 0.5], [0.5, 0.4]])
 
 
 class TestSecondOrderSample:
     def test_mean_symmetry(self):
         s = SecondOrderSample([[1.0, 0.0], [0.0, 1.0]])
-        assert s.mean.probs.tolist() == [0.5, 0.5]
+        assert s.mean.tolist() == [0.5, 0.5]
 
     def test_mean_hand_average(self):
         s = SecondOrderSample([[0.9, 0.1], [0.5, 0.5]])
-        np.testing.assert_allclose(s.mean.probs, [0.7, 0.3], atol=1e-15)
+        np.testing.assert_allclose(s.mean, [0.7, 0.3], atol=1e-15)
+        assert np.shares_memory(s.mean, s.means) and not s.mean.flags.writeable
 
     def test_single_member_identity(self):
         s = SecondOrderSample([[0.3, 0.7]])
-        assert s.mean.probs.tolist() == [0.3, 0.7]
+        assert s.mean.tolist() == [0.3, 0.7]
 
     def test_empty_rejected(self):
         with pytest.raises(SimplexError):
@@ -125,24 +126,24 @@ class TestSecondOrderSample:
         sample = SecondOrderSample([[0.9, 0.1], [0.5, 0.5]])
         assert sample == SecondOrderSample(np.array([[0.9, 0.1], [0.5, 0.5]]))
         assert sample != SecondOrderSample([[0.5, 0.5], [0.9, 0.1]])
-        assert sample.__eq__(sample.matrix) is NotImplemented and sample != sample.mean
+        assert sample.__eq__(sample.matrix) is NotImplemented and sample.__eq__(sample.mean) is NotImplemented
         assert repr(sample) == "SecondOrderSample(M=2, K=2)"
         assert repr(SecondOrderSample([[0.2, 0.3, 0.5]])) == "SecondOrderSample(M=1, K=3)"
 
     def test_zero_mean_entry_implies_member_zeros(self):
         s = SecondOrderSample([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]])
-        assert s.mean.probs[2] == 0.0
+        assert s.mean[2] == 0.0
         assert np.all(s.matrix[:, 2] == 0.0)
 
     def test_subnormal_dust_averaging_to_zero_is_dropped(self):
         # half the smallest subnormal rounds to a zero mean, so the member entry goes too
         s = SecondOrderSample([[1.0, 5e-324], [1.0, 0.0]])
         assert s.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]]
-        assert s.mean.probs.tolist() == [1.0, 0.0]
+        assert s.mean.tolist() == [1.0, 0.0]
         # dust whose mean is not zero stays
         s = SecondOrderSample([[1.0, 5e-324], [1.0, 5e-324]])
         assert s.matrix.tolist() == [[1.0, 5e-324], [1.0, 5e-324]]
-        assert s.mean.probs.tolist() == [1.0, 5e-324]
+        assert s.mean.tolist() == [1.0, 5e-324]
 
 
 class TestLoss:
@@ -174,6 +175,12 @@ class TestLoss:
         with pytest.raises(LabelOutOfRange):
             loss(LOG, validate_simplex([0.5, 0.5]), label)
 
+    def test_rows_and_labels_of_any_leading_shape(self):
+        rows = validate_simplex([[[0.5, 0.5], [1.0, 0.0]], [[0.2, 0.8], [0.6, 0.4]]])
+        got = loss(LOG, rows, np.array([[1, 2], [2, 1]]))
+        assert got.shape == (2, 2) and got.tolist() == [[math.log(2), math.inf], [-math.log(0.8), -math.log(0.6)]]
+        assert np.ndim(loss(LOG, rows[0, 0], 1)) == 0 and np.ndim(loss(LOG, rows[0, 0], np.int64(1))) == 0
+
 
 class TestExpectedLoss:
     def test_log_uniform_self(self):
@@ -199,6 +206,10 @@ class TestExpectedLoss:
     def test_dimension_mismatch(self):
         with pytest.raises(UqscoreError, match="^prediction has K=2, truth has K=3$"):
             expected_loss(LOG, validate_simplex([0.5, 0.5]), validate_simplex([0.2, 0.3, 0.5]))
+
+    def test_rows_broadcast_against_each_other(self):
+        got = expected_loss(LOG, [[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0])
+        assert got.shape == (2,) and got.tolist() == [0.0, math.log(2)]
 
 
 def per_value_loss(rule, p, label):
@@ -235,7 +246,7 @@ class TestLossCore:
     def test_equals_the_per_value_loss_bit_for_bit(self, k, n):
         rng = np.random.default_rng(k)
         rows = awkward_rows(rng, k, n)
-        # the oracle sees each row as a fresh array, as loss() on a CategoricalDistribution did
+        # the oracle sees each row as a fresh array, as loss() of one validate_simplex row does
         want = {rule: np.array([[per_value_loss(rule, np.array(row), y) for y in range(1, k + 1)] for row in rows])
                 for rule in RULES}
         buf = np.empty(n * k + 7)
@@ -244,23 +255,29 @@ class TestLossCore:
             view[:] = rows
             labels = (np.arange(n) + j) % k + 1
             for rule in RULES:
-                got = _loss_arrays(rule, view, labels)
+                got = loss(rule, view, labels)
                 assert got.tobytes() == want[rule][np.arange(n), labels - 1].tobytes(), (rule, j)
-        for i in rng.choice(n, size=min(n, 25), replace=False):
-            prediction, truth = CategoricalDistribution(rows[i]), CategoricalDistribution(rows[(i + 1) % n])
+        picked = rng.choice(n, size=min(n, 25), replace=False)
+        refs = {rule: [] for rule in RULES}
+        for i in picked:
+            prediction, truth = validate_simplex(rows[i]), validate_simplex(rows[(i + 1) % n])
             for rule in RULES:
                 y = int(rng.integers(1, k + 1))
                 assert np.float64(loss(rule, prediction, y)).tobytes() == want[rule][i, y - 1].tobytes()
                 ref = 0.0  # the old expected_loss: one per-value loss per label, in label order
-                for ty, ly in zip(truth.probs, want[rule][i]):
+                for ty, ly in zip(truth, want[rule][i]):
                     if ty != 0.0:
                         ref += ty * ly
                 assert np.float64(expected_loss(rule, prediction, truth)).tobytes() == np.float64(ref).tobytes()
+                refs[rule].append(ref)
+        for rule in RULES:  # the picked pairs as one batch give each pair's bits
+            got = expected_loss(rule, rows[picked], rows[(picked + 1) % n])
+            assert got.tobytes() == np.array(refs[rule]).tobytes(), rule
 
     def test_expected_loss_memory_is_bounded_at_wide_k(self):
         # the labels reach the core in blocks of at most _CHUNK_VALUES values: no (K, K) temporary (72 MB here)
         rows = awkward_rows(np.random.default_rng(3), 3000, 2)
-        prediction, truth = CategoricalDistribution(rows[0]), CategoricalDistribution(rows[1])
+        prediction, truth = validate_simplex(rows[0]), validate_simplex(rows[1])
         for rule in RULES:
             tracemalloc.start()
             try:
@@ -278,7 +295,7 @@ class TestLossCore:
 
     def test_log_is_inf_at_zero_without_a_warning(self):
         with np.errstate(all="raise"):
-            got = _loss_arrays(LOG, np.array([[1.0, 0.0], [0.5, 0.5]]), [2, 1])
+            got = loss(LOG, np.array([[1.0, 0.0], [0.5, 0.5]]), [2, 1])
         assert got[0] == math.inf and got[1] == math.log(2)
 
 
@@ -302,6 +319,13 @@ class TestEntropy:
             h = entropy(rule, dist)
             assert math.isfinite(h) and h >= -1e-12
             assert h == pytest.approx(expected_loss(rule, dist, dist), abs=1e-9)
+
+    def test_rows_of_any_leading_shape(self):
+        rows = [[[0.5, 0.5], [1.0, 0.0]], [[0.2, 0.8], [0.7, 0.3]]]
+        for rule in RULES:
+            got = entropy(rule, rows)
+            assert got.shape == (2, 2)
+            assert got.tolist() == [[entropy(rule, row) for row in pair] for pair in rows]
 
 
 class TestDivergence:
@@ -339,6 +363,12 @@ class TestDivergence:
             assert divergence(rule, prediction, truth) >= -1e-12
             # expected loss is minimized by telling the truth
             assert expected_loss(rule, truth, truth) <= expected_loss(rule, prediction, truth) + 1e-12
+
+    def test_rows_broadcast_against_each_other(self):
+        predictions = [[0.4, 0.6], [1.0, 0.0], [0.7, 0.3]]
+        for rule in RULES:
+            got = divergence(rule, predictions, [0.7, 0.3])
+            assert got.shape == (3,) and got.tolist() == [divergence(rule, p, [0.7, 0.3]) for p in predictions]
 
 
 def masked_max_zero_one(p, t):
@@ -460,6 +490,8 @@ class TestDecomposeArrays:
         for rule in RULES:
             batched = _decompose_arrays(rule, beliefs)
             assert all(part.shape == (30,) for part in batched)
+            public = np.array(decompose(rule, beliefs))  # the public batch call, the body of one-item scoring
+            assert public.tobytes() == np.array(batched).tobytes() == _decompose_samples([rule], [beliefs])[0].tobytes()
             for i, matrix in enumerate(members):
                 sample = SecondOrderSample(matrix)
                 single = [part.item() for part in _decompose_arrays(rule, sample)]
@@ -481,11 +513,11 @@ class TestDecomposeArrays:
     )
     def test_array_check_names_the_first_bad_triple(self, bad):
         with pytest.raises(ValueError) as scalar:
-            UncertaintyTriple(*bad, LOG)
+            _check_triples(*bad)
         # consistent infinities and NaNs pass, as they do one at a time
         fine = [(0.5, 0.3, 0.2), (math.inf, math.inf, 0.0), (math.nan, 0.1, 0.1), (math.inf, 0.2, math.inf)]
         for t in fine:
-            UncertaintyTriple(*t, LOG)
+            _check_triples(*t)
         later = (2.0, 0.1, 0.1)
         parts = np.array(fine + [bad, later]).T
         with pytest.raises(ValueError) as batched:
@@ -563,7 +595,7 @@ class TestBeliefs:
         raw = rng.random((6, 4, 3)) * 3.0
         raw[2, 1, 0] = -0.25  # clamped to zero
         beliefs = Beliefs.of(raw, renormalize=True)
-        want = [validate_simplex(row, renormalize=True).probs for row in raw.reshape(-1, 3)]
+        want = [validate_simplex(row, renormalize=True) for row in raw.reshape(-1, 3)]
         assert beliefs.members.tobytes() == np.array(want).tobytes()
         with pytest.raises(SimplexError, match=r"^entry 3\.0 exceeds 1$"):
             Beliefs.of([[[3.0, 1.0]]])
@@ -592,7 +624,7 @@ class TestBeliefs:
             sample = SecondOrderSample(raw[i])
             for got in (view, beliefs[i], beliefs[i - 4]):
                 assert got == sample and len(got) == 1 and (got.m, got.k) == (5, 3)
-                assert got.mean == sample.mean and got.means.tobytes() == sample.means.tobytes()
+                assert np.array_equal(got.mean, sample.mean) and got.means.tobytes() == sample.means.tobytes()
                 assert got.leaf_ids.tolist() == sample.leaf_ids.tolist() == [list(range(5))]
                 assert all(np.shares_memory(a, beliefs.members) for a in (got.members, got.leaves, got.matrix))
                 assert np.shares_memory(got.means, beliefs.means)
@@ -614,19 +646,15 @@ class TestBeliefs:
 class TestUncertaintyTriple:
     def test_rejects_non_additive(self):
         with pytest.raises(ValueError):
-            UncertaintyTriple(1.0, 0.2, 0.2, LOG)
+            _check_triples(1.0, 0.2, 0.2)
 
     def test_rejects_negative_epistemic(self):
         with pytest.raises(ValueError):
-            UncertaintyTriple(0.5, 0.6, -0.1, LOG)
+            _check_triples(0.5, 0.6, -0.1)
 
-    def test_component_lookup(self):
-        t = UncertaintyTriple(0.5, 0.3, 0.2, LOG)
-        assert t.component("total") == 0.5
-        assert t.component("aleatoric") == 0.3
-        assert t.component("epistemic") == 0.2
-        with pytest.raises(ValueError):
-            t.component("entropy")
+    def test_fields_are_the_components(self):
+        assert UncertaintyTriple._fields == COMPONENTS
+        assert tuple(UncertaintyTriple(0.5, 0.3, 0.2)) == (0.5, 0.3, 0.2)
 
 
 class TestLossTable:
@@ -642,7 +670,7 @@ class TestLossTable:
             for rule in RULES:
                 table = _loss_table(rule, sample.matrix)
                 for i, row in enumerate(sample.matrix):
-                    member = CategoricalDistribution(row)
+                    member = validate_simplex(row)
                     for y in range(1, k + 1):
                         assert table[i, y - 1] == pytest.approx(
                             loss(rule, member, y), abs=1e-12
@@ -651,12 +679,12 @@ class TestLossTable:
 
 #: Error guards no other test reaches: (call, error class, text).
 GUARDS = [
-    (lambda: CategoricalDistribution([]), SimplexError, "expected a non-empty probability vector"),
-    (lambda: CategoricalDistribution([math.nan, 1.0]), SimplexError, "probabilities must be finite"),
+    (lambda: entropy(LOG, []), SimplexError, "expected a non-empty probability vector"),
+    (lambda: entropy(LOG, [math.nan, 1.0]), SimplexError, "probabilities must be finite"),
     (lambda: validate_simplex([]), SimplexError, "expected a non-empty probability vector"),
     (lambda: SecondOrderSample([0.5, 0.5]), SimplexError, "expected an (M, K) matrix of member distributions"),
     (
-        lambda: UncertaintyTriple(-1.0, -1.0, 0.0, LOG),
+        lambda: _check_triples(-1.0, -1.0, 0.0),
         InconsistentDecomposition,
         "uncertainty components must be nonnegative",
     ),

@@ -161,5 +161,5 @@ def test_pool_scores_equal_per_row_decompose(rule):
     pool = predict_pool(learner, rng.normal(0.0, 3.0, size=(60, 2)))
     triples = [decompose(rule, SecondOrderSample(row)) for row in pool.members]
     for component in COMPONENTS:
-        want = np.array([t.component(component) for t in triples])
+        want = np.concatenate([getattr(t, component) for t in triples])
         assert _component_scores(rule, [pool], component).tobytes() == want.tobytes()

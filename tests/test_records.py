@@ -43,7 +43,7 @@ class TestParse:
         ])
         dust, kept, plain = (rec.sample for rec in parse_predictions(path, renormalize=renormalize))
         assert dust.matrix.tolist() == SecondOrderSample([[1.0, 5e-324], [1.0, 0.0]]).matrix.tolist()
-        assert dust.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]] and dust.mean.probs.tolist() == [1.0, 0.0]
+        assert dust.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0]] and dust.mean.tolist() == [1.0, 0.0]
         assert kept.matrix.tolist() == [[1.0, 5e-324], [1.0, 5e-324]]
         assert plain.matrix.tolist() == [[0.5, 0.5], [0.25, 0.75]]
 
@@ -216,7 +216,7 @@ def reference_parse(path, renormalize):
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
                 raise Malformed(line_no, f"row {i} contains non-numeric entries")
             try:
-                probs.append(validate_simplex(row, renormalize=renormalize).probs)
+                probs.append(validate_simplex(row, renormalize=renormalize))
             except SimplexError as exc:
                 raise Malformed(line_no, str(exc), row=i) from exc
             except OverflowError:
@@ -511,7 +511,7 @@ class TestParseOracle:
         for rec in parse_predictions(path):
             matrix = rec.sample.matrix
             assert matrix.flags.c_contiguous and not matrix.flags.writeable and matrix.base is not None
-            assert np.array_equal(rec.sample.mean.probs, SecondOrderSample(matrix).mean.probs)
+            assert np.array_equal(rec.sample.mean, SecondOrderSample(matrix).mean)
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_records_straddling_a_chunk_boundary(self, tmp_path, renormalize):
@@ -549,7 +549,7 @@ class TestParseOracle:
         path = tmp_path / "p.jsonl"
         write_lines(path, [json.dumps({"id": "a", "samples": rows})])
         with pytest.raises(SimplexError, match="^entries sum to 1.0000000010002, not 1$"):
-            SecondOrderSample([validate_simplex(row).probs for row in rows])
+            SecondOrderSample([validate_simplex(row) for row in rows])
         assert parse_predictions(path)[0].sample.matrix[0, 2] == 0.0
 
     def test_integer_too_large_for_a_float(self, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from uqscore.errors import UqscoreError
 from uqscore.measures import (
-    CategoricalDistribution,
     ScoringRule,
     SecondOrderSample,
     expected_loss,
@@ -207,12 +206,7 @@ def _alignment_corpus(seed, n_families=30):
 
 
 def _expected_aulc(samples, truths, task_rule, unc_rule, component):
-    costs = np.array(
-        [
-            expected_loss(task_rule, s.mean, CategoricalDistribution(t))
-            for s, t in zip(samples, truths)
-        ]
-    )
+    costs = expected_loss(task_rule, np.array([s.mean for s in samples]), truths)
     return aulc(costs, order_by_uncertainty(samples, unc_rule, component)).aulc
 
 
@@ -262,12 +256,7 @@ class TestRunSelectivePrediction:
         for seed in range(5):
             truths, samples = _alignment_corpus(seed)
             for t in RULES:
-                costs = np.array(
-                    [
-                        expected_loss(t, s.mean, CategoricalDistribution(tr))
-                        for s, tr in zip(samples, truths)
-                    ]
-                )
+                costs = expected_loss(t, np.array([s.mean for s in samples]), truths)
                 oracle = aulc(costs, Ordering(np.argsort(costs, kind="stable"))).aulc
                 via_total = _expected_aulc(samples, truths, t, t, "total")
                 assert via_total >= oracle - 1e-12  # the oracle is optimal
