@@ -23,7 +23,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .errors import BadConfig, InconsistentDecomposition, LabelOutOfRange, SimplexError, UqscoreError
 
@@ -320,10 +319,17 @@ def _check_triples(total, aleatoric, epistemic) -> None:
 # shape; ``_decompose_arrays``, ``entropy`` and ``divergence`` all dispatch
 # through these dictionaries, so a single corrupted entry is caught by the
 # verification suites.
+#
+# The log forms import scipy.special where they run, not at module level: the
+# import takes about a quarter of a second, which a process that never scores
+# the log rule (a command under another rule, ``--help``, a refused file)
+# need not pay.
 # ---------------------------------------------------------------------------
 
 
 def _entropy_log(t: np.ndarray) -> np.ndarray:
+    from scipy.special import xlogy
+
     return -xlogy(t, t).sum(axis=-1)
 
 
@@ -342,6 +348,8 @@ def _entropy_spherical(t: np.ndarray) -> np.ndarray:
 def _divergence_log(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     # rel_entr(t, p) = t * log(t / p), with 0 * log(0 / p) = 0 and +inf when
     # t > 0 = p: exactly the extended-real KL convention used throughout.
+    from scipy.special import rel_entr
+
     return rel_entr(t, p).sum(axis=-1)
 
 
@@ -415,6 +423,8 @@ def loss(rule: ScoringRule, probs, labels) -> np.ndarray:
     y = _check_labels(labels, probs.shape[-1])[..., None] - 1
     p_y = np.take_along_axis(probs, y, axis=-1)[..., 0]
     if rule is ScoringRule.LOG:
+        from scipy.special import xlogy
+
         return -xlogy(1.0, p_y)
     if rule is ScoringRule.BRIER:
         diff = probs.copy()

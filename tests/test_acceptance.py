@@ -61,17 +61,21 @@ def test_02_properness():
     """10,000 random pairs per rule: divergence >= -1e-12; near-zero
     divergence of strictly proper rules only at near-identical pairs."""
     rng = np.random.default_rng(456)
-    min_div = 0.0
+    groups = {}  # (rule, K) -> (prediction rows, truth rows), drawn pair by pair
     for rule in RULES:
         for _ in range(10_000):
             k = int(rng.integers(2, 11))
-            prediction = validate_simplex(rng.dirichlet(np.ones(k)))
-            truth = validate_simplex(rng.dirichlet(np.ones(k)))
-            d = divergence(rule, prediction, truth)
-            min_div = min(min_div, d)
-            assert d >= -1e-12
-            if rule.strictly_proper and d <= 1e-12:
-                assert np.abs(prediction - truth).max() <= 1e-6
+            predictions, truths = groups.setdefault((rule, k), ([], []))
+            predictions.append(rng.dirichlet(np.ones(k)))
+            truths.append(rng.dirichlet(np.ones(k)))
+    min_div = 0.0
+    for (rule, _), (predictions, truths) in groups.items():
+        prediction, truth = validate_simplex(predictions), validate_simplex(truths)
+        d = divergence(rule, prediction, truth)  # one value per pair
+        min_div = min(min_div, float(d.min()))
+        assert (d >= -1e-12).all()
+        if rule.strictly_proper:
+            assert (np.abs(prediction - truth).max(axis=1)[d <= 1e-12] <= 1e-6).all()
     # pinned counterexample: zero-one divergence vanishes off the diagonal
     counter = divergence(
         ScoringRule.ZERO_ONE, validate_simplex([0.6, 0.4]), validate_simplex([0.9, 0.1])

@@ -489,14 +489,22 @@ class TestCliPlumbing:
         assert err.startswith(f"error: {path}: line 1: the members' mean is off the simplex")
         assert "1.0000000010002" in err
 
-    def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats costs about a second of start-up; AUROC ranks in numpy
+    def test_import_leaves_out_scipy_stats(self, pred_file, tmp_path):
+        # scipy.stats costs about a second of start-up; AUROC ranks in numpy; and scipy.special, about a quarter
+        # of a second, is imported by the log rule's forms when they first run, so only a log-rule command pays it
         src = Path(uqscore.__file__).resolve().parent.parent
-        code = "import sys, uqscore.cli; uqscore.cli.build_parser(); print('scipy.stats' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=120
+        code = (
+            "import sys, uqscore.cli; uqscore.cli.build_parser(); loaded = lambda: 'scipy.special' in sys.modules; "
+            "seen = ['scipy.stats' in sys.modules, loaded()]; "
+            "argv = ['decompose', '--input', sys.argv[1], '--out-dir', sys.argv[2], '--rule']; "
+            "assert uqscore.cli.main(argv + ['brier']) == 0; seen.append(loaded()); "
+            "assert uqscore.cli.main(argv + ['log']) == 0; seen += [loaded(), 'scipy.stats' in sys.modules]; print(*seen)"
         )
-        assert done.stdout.strip() == "False"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(pred_file), str(tmp_path)],
+            cwd=src, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1].split() == ["False", "False", "False", "True", "False"]
 
     @pytest.mark.parametrize(
         "bad_line, message",
