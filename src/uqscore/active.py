@@ -153,40 +153,48 @@ class EnsembleLearner:
         return tuple(nodes[: self.n_trees])
 
 
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """(K, P) ``terms`` summed over classes with the bits of ``(P, K).sum(axis=1)``: numpy adds fewer than 8 in turn."""
+    return terms.sum(axis=0) if terms.shape[0] < 8 else np.ascontiguousarray(terms.T).sum(axis=1)  # 8+: pairwise
+
+
 def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
     """Fit the ensemble: one tree per bootstrap resample of ``train``.
 
-    Per-tree sampling streams are spawned from ``seed`` in tree order, so
-    refitting with the same configuration, data, and seed reproduces the
-    model exactly.  All trees grow together, breadth first: at each depth,
-    one sorted pass per feature over the distinct drawn rows of every open
-    node, each weighted by its draw count, scores every split by weighted
-    Gini impurity.  The splits are those of growing on every draw: a split
-    can only fall between distinct values, where the weighted counts are
-    the same integers.  Within a node the cheapest threshold wins, ties
-    going to the smallest threshold, then to the smallest feature index.
-    Thresholds are midpoints between consecutive distinct values, nudged
-    back onto the lower value when the midpoint rounds up to the higher
-    one, so the train-time partition matches the ``x <= t`` predicate.
+    Per-tree sampling streams are spawned from ``seed`` in tree order, so refitting with the same
+    configuration, data, and seed reproduces the model exactly; counting the draws holds two (n_trees, n)
+    integer arrays, the draws and their counts.  All trees grow together, breadth first: at each depth, one
+    sorted pass per feature over the distinct drawn rows of every open node, each weighted by its draw count,
+    scores every split by weighted Gini impurity.  The splits are those of growing on every draw: a split can
+    only fall between distinct values, where the weighted counts are the same integers.  The weighted one-hot
+    labels are class-major, (K + 1, rows), so each pass takes its prefix sums along the rows and adds each Gini
+    sum's class terms in the order of a point-major sum (:func:`_class_sum`).  Within a node the cheapest
+    threshold wins, ties going to the smallest threshold, then to the smallest feature index.  Thresholds are
+    midpoints between consecutive distinct values, nudged back onto the lower value when the midpoint rounds
+    up to the higher one, so the train-time partition matches the ``x <= t`` predicate.
     """
     if train.n == 0:
         raise BadConfig("cannot fit on an empty training set")
     n, k, m, min_leaf = train.n, train.k, config.n_trees, config.min_leaf
     if not np.isfinite(k * config.alpha):  # every leaf's denominator would be inf
         raise BadConfig(f"alpha {config.alpha!r} times K = {k} classes is not finite")
+    root = np.random.SeedSequence(seed)
     try:  # allocate first: spawning one stream per tree for a huge m would run on with no error
-        drawn = np.empty((m, n), dtype=np.intp)
+        draws = np.empty((m, n), dtype=np.intp)
+        for row, child in zip(draws, root.spawn(m)):
+            row[:] = np.random.default_rng(child).integers(0, n, size=n)
+        draws += np.arange(0, m * n, n)[:, None]  # tree * n + training row of each draw: one count for all trees
+        drawn = np.bincount(draws.ravel(), minlength=m * n)  # a second m * n array beside the draws
     except (MemoryError, ValueError) as exc:
         raise BadConfig(f"{m} trees of {n} bootstrap rows do not fit in memory") from exc
-    for row, child in zip(drawn, np.random.SeedSequence(seed).spawn(m)):
-        row[:] = np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
+    del draws
     pair = np.flatnonzero(drawn)  # tree * n + training row of each drawn row, tree-major
-    w = drawn.ravel()[pair].astype(np.float64)  # draw counts: every weighted sum is an exact integer
+    w = drawn[pair].astype(np.float64)  # draw counts: every weighted sum is an exact integer
     rows_n, src = pair.size, pair % n
     xt = np.ascontiguousarray(train.features[src].T)  # (d, rows): one contiguous row per feature
     y = train.labels[src] - 1
-    table = np.eye(k + 1)[y] * w[:, None]  # weighted one-hot labels, then the weight, so cumsums give left_n
-    table[:, k] = w
+    table = np.eye(k + 1)[:, y] * w  # class-major weighted one-hot labels, then the weight, so cumsums give left_n
+    table[k] = w
     # per-feature rank of every row, ties in row order: sorting rows by
     # (node, rank) sorts each node's rows stably by value
     rank = np.empty((train.d, rows_n), dtype=np.intp)  # each row inverts its stable sort order
@@ -212,7 +220,7 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
         pos = np.delete(np.arange(r.size), st + cnt - 1)  # split after pos: each node's rows but its last
         psg = np.repeat(np.arange(cnt.size), cnt - 1)
         total = np.take(size[open_], psg)
-        node_counts = np.take(counts[open_], psg, axis=0)
+        node_counts = np.take(counts[open_].T, psg, axis=1)
         first = st - np.arange(cnt.size)  # each node's first position
         best_cost = np.full(cnt.size, np.inf)
         best_f = np.full(cnt.size, -1)
@@ -220,15 +228,15 @@ def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
         for f in range(train.d):
             rs = r[np.argsort(sg * rows_n + np.take(rank[f], r))]
             sv = np.take(xt[f], rs)
-            cum = np.cumsum(np.take(table, rs, axis=0), axis=0)  # exact integer sums
-            before = np.take(cum, st - 1, axis=0)  # sums before each node's first row
-            before[0] = 0.0
-            cl = np.take(cum, pos, axis=0) - np.take(before, psg, axis=0)
-            left_n = cl[:, k]
+            cum = np.cumsum(np.take(table, rs, axis=1), axis=1)  # exact integer sums
+            before = np.take(cum, st - 1, axis=1)  # sums before each node's first row
+            before[:, 0] = 0.0
+            cl = np.take(cum, pos, axis=1) - np.take(before, psg, axis=1)
+            left_n = cl[k]
             right_n = total - left_n
-            cl = cl[:, :k]
-            gini_l = 1.0 - np.square(cl / left_n[:, None]).sum(axis=1)
-            gini_r = 1.0 - np.square((node_counts - cl) / right_n[:, None]).sum(axis=1)
+            cl = cl[:k]
+            gini_l = 1.0 - _class_sum(np.square(cl / left_n))
+            gini_r = 1.0 - _class_sum(np.square((node_counts - cl) / right_n))
             cost = (left_n * gini_l + right_n * gini_r) / total
             valid = (np.take(sv, pos) < np.take(sv, pos + 1)) & (left_n >= min_leaf) & (right_n >= min_leaf)
             cost = np.where(valid, cost, np.inf)

@@ -196,6 +196,13 @@ def _build_active_problem(dataset: dict, seed: int):
     kind = dataset.pop("kind", None)
     if kind not in ("epistemic_gap", "blobs"):
         raise BadConfig(f"unknown dataset kind {kind!r}; expected epistemic_gap or blobs")
+    numbers = ("n_labeled_region", "n_gap_region") if kind == "epistemic_gap" else (
+        "k", "n_per_class", "d", "spread", "centers_seed", "noise_seed", "centers", "n_initial", "n_test")
+    for key in numbers:  # Python reads JSON true as 1; other keys fail as unexpected below
+        for value in (values := [dataset.get(key)]):  # the value, then each item of its lists, appended as met
+            if isinstance(value, bool):
+                raise BadConfig(f"dataset key {key!r} must hold numbers, not {json.dumps(value)}")
+            values.extend(value if isinstance(value, list) else ())
     try:
         if kind == "epistemic_gap":
             return al.make_epistemic_gap(seed=seed, **dataset)

@@ -131,9 +131,9 @@ def parse_predictions(path, renormalize: bool = False) -> list[PredictionRecord]
     raise fault
 
 
-#: Most brackets in a line given to orjson, whose recursive build uses about 64 bytes of C stack per
-#: nesting level and crashes the process near 130 000 levels (orjson 3.8.3, 8 MB stack); a valid record
-#: nests three deep and holds M + 2 brackets.
+#: Most brackets in a line given to orjson, whose recursive build uses about 64 bytes of C stack per nesting level
+#: and crashes the process near 130 000 levels (orjson 3.8.3, 8 MB stack); a valid record nests three deep and
+#: holds M + 2 brackets.  A line no longer than this cannot hold more, so only longer lines are counted.
 _ORJSON_MAX_BRACKETS = 4096
 
 
@@ -145,7 +145,7 @@ def _decode_line(line_no: int, line: str, renormalize: bool) -> tuple:
         except UnicodeEncodeError as exc:
             byte = ord(line[exc.start]) - 0xDC00
             raise Malformed(line_no, f"not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})") from None
-    if line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:
+    if len(line) <= _ORJSON_MAX_BRACKETS or line.count("[") + line.count("{") <= _ORJSON_MAX_BRACKETS:
         try:
             payload = orjson.loads(line)
             if type(payload) is dict and type(payload.get("label", 0)) is int:

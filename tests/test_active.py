@@ -6,6 +6,7 @@ from uqscore.active import (
     ActiveLearningTrace,
     LearnerConfig,
     TabularDataset,
+    _class_sum,
     _leaf_ids,
     acquire,
     ensemble_zero_one_loss,
@@ -244,6 +245,15 @@ class TestFitAndPredict:
         with pytest.raises(BadConfig, match="^cannot fit on an empty training set$"):
             fit(LearnerConfig(), data.subset(np.array([], dtype=np.intp)), seed=0)
 
+    def test_draw_counts_out_of_memory(self, monkeypatch):
+        # the draws are allocated under a guard, and so are their counts, a second array of the same size
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "bincount", no_memory)
+        with pytest.raises(BadConfig, match="^3 trees of 10 bootstrap rows do not fit in memory$"):
+            fit(LearnerConfig(n_trees=3), make_blobs(2, 5, d=2), seed=0)
+
     def test_predict_dimension_mismatch(self):
         data = make_blobs(2, 5, d=3)
         learner = fit(LearnerConfig(n_trees=2), data, seed=0)
@@ -460,6 +470,39 @@ class TestFlatEnsembleOracle:
         assert learner.trees is learner.trees and len(learner.trees) == 4
         want = ref_predict(learner.trees, data.features, data.k)
         assert np.array_equal(member_stack(learner, data.features), want)
+
+
+def split_costs(cl, node_counts, layout):
+    """Weighted Gini cost of each candidate split from its left and node class counts, as ``fit`` scores it.
+
+    ``"row-major"`` is the (P, K) expression ``fit`` used before its table went class-major, kept as the oracle;
+    ``"class-major"`` is ``fit``'s own: (K, P) counts summed over classes by ``_class_sum``.
+    """
+    left_n, total = cl.sum(axis=1), node_counts.sum(axis=1)  # integers: exact in any order
+    right_n = total - left_n
+    if layout == "row-major":
+        gini_l = 1.0 - np.square(cl / left_n[:, None]).sum(axis=1)
+        gini_r = 1.0 - np.square((node_counts - cl) / right_n[:, None]).sum(axis=1)
+    else:
+        cl, node_counts = np.ascontiguousarray(cl.T), np.ascontiguousarray(node_counts.T)
+        gini_l = 1.0 - _class_sum(np.square(cl / left_n))
+        gini_r = 1.0 - _class_sum(np.square((node_counts - cl) / right_n))
+    return (left_n * gini_l + right_n * gini_r) / total
+
+
+class TestClassMajorGini:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_costs_equal_the_row_major_sums(self, k):
+        # numpy adds a (P, K) row in sequence below K = 8 and pairwise from 8 on; more than 10**5 candidates, as
+        # many as a large fit scores at one depth, so an order that changed with the array's size would show
+        rng = np.random.default_rng(k)
+        p = 120_000
+        cl = rng.integers(0, 40, size=(p, k)).astype(np.float64)
+        cr = rng.integers(0, 40, size=(p, k)).astype(np.float64)
+        cl[np.arange(p), rng.integers(0, k, size=p)] += 1.0  # both sides hold at least one draw
+        cr[np.arange(p), rng.integers(0, k, size=p)] += 1.0
+        want = split_costs(cl, cl + cr, "row-major")
+        assert split_costs(cl, cl + cr, "class-major").tobytes() == want.tobytes(), k
 
 
 def pool_of(*beliefs):

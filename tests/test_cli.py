@@ -284,6 +284,15 @@ BAD_CONFIGS = [
     ("active", {"seed": -1}),
 ]
 
+#: Each numeric key of the ``active`` dataset section, with the dataset kind that reads it and a value holding a bool.
+DATASET_BOOL_VALUES = [
+    *(("blobs", key, True) for key in ("k", "n_per_class", "d", "spread", "centers_seed", "noise_seed", "n_initial")),
+    ("blobs", "n_test", False),
+    ("blobs", "centers", [[True, 0], [0, True]]),
+    ("epistemic_gap", "n_labeled_region", True),
+    ("epistemic_gap", "n_gap_region", True),
+]
+
 
 class TestBadConfigValues:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a user would see the warning on stderr
@@ -308,6 +317,24 @@ class TestBadConfigValues:
         config.write_text(json.dumps(dict(ACTIVE_CONFIG, learner={"alpha": 1e308})))
         assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key, value", DATASET_BOOL_VALUES)
+    def test_bool_dataset_key_is_named(self, tmp_path, capsys, kind, key, value):
+        # Python reads JSON true as 1, so a bool must be refused before it reaches a size, a seed, a spread or a centre
+        sizes = {"k": 2, "n_per_class": 20} if kind == "blobs" else {"n_labeled_region": 12, "n_gap_region": 4}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(ACTIVE_CONFIG, dataset={"kind": kind, **sizes, key: value})))
+        assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        word = "false" if value is False else "true"
+        assert capsys.readouterr().err == f"error: dataset key '{key}' must hold numbers, not {word}\n"
+
+    @pytest.mark.parametrize("kind", ["blobs", "epistemic_gap"])
+    def test_unknown_bool_dataset_key_is_unexpected(self, tmp_path, capsys, kind):
+        sizes = {"k": 2, "n_per_class": 20} if kind == "blobs" else {"n_labeled_region": 12, "n_gap_region": 4}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(ACTIVE_CONFIG, dataset={"kind": kind, **sizes, "verbose": True})))
+        assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        assert "unexpected keyword argument 'verbose'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["n_initial", "n_test"])
     def test_negative_blobs_size_is_named(self, tmp_path, capsys, key):
@@ -491,10 +518,12 @@ class TestCliPlumbing:
 
     def test_import_leaves_out_scipy_stats(self, pred_file, tmp_path):
         # scipy.stats costs about a second of start-up; AUROC ranks in numpy; and scipy.special, about a quarter
-        # of a second, is imported by the log rule's forms when they first run, so only a log-rule command pays it
+        # of a second, is imported by the log rule's forms when they first run, so only a log-rule command pays it;
+        # numpy.random, about 10 ms, is loaded by the first seeded draw, not by an import
         src = Path(uqscore.__file__).resolve().parent.parent
         code = (
             "import sys, uqscore.cli; uqscore.cli.build_parser(); loaded = lambda: 'scipy.special' in sys.modules; "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random loaded at import'; "
             "seen = ['scipy.stats' in sys.modules, loaded()]; "
             "argv = ['decompose', '--input', sys.argv[1], '--out-dir', sys.argv[2], '--rule']; "
             "assert uqscore.cli.main(argv + ['brier']) == 0; seen.append(loaded()); "

@@ -1,7 +1,8 @@
 """Leaf-space pool scoring: every score equals per-row ``decompose`` bit for bit.
 
 ``predict_pool`` keeps each member's leaf id, and ``_component_scores(rule, [pool], component)`` takes the terms
-of a member alone (its entropy, and zero-one's max and value at the mean's argmax) once per row of the leaf table.
+of a member alone (its entropy, and zero-one's max and value at the mean's argmax) once per row of the leaf table,
+and the divergences that mix a member with its mean once per distinct row of leaf ids.
 These tests run on fitted learners and on hand-built leaf tables (wide K, M = 1, exact zeros, argmax
 ties, subnormal dust).  ``ref_pool_scores`` keeps the per-pair scoring body that leaf-space scoring
 replaced, as the oracle for ``acquire`` and ``ood_trend_run``.  CI re-runs this file with numpy's
@@ -153,6 +154,96 @@ class TestLeafSpaceScores:
         assert not np.array_equal(pool.members, np.take(learner.leaf, _leaf_ids(learner, x), axis=0))
         assert_scores_exact(pool, "dust")
         assert pool.leaves is not learner.leaf
+
+
+def id_pool(leaves, ids):
+    """A pool whose member j of point i is row ``ids[i, j]`` of ``leaves``, as ``predict_pool`` builds it."""
+    members = np.take(leaves, ids, axis=0)
+    return Beliefs(members, measures._build_beliefs(members, check_members=False), ids, leaves)
+
+
+def row_by_row(pool):
+    """Whether ``_distinct_rows`` leaves every row of ``pool`` to be scored, rather than each distinct id row once."""
+    first, inverse = measures._distinct_rows(pool.leaf_ids, pool.leaves)
+    return isinstance(first, slice) and first == inverse == np.s_[:]
+
+
+class TestDistinctBeliefs:
+    """A pool's mean-mixing divergences are taken once per distinct id row, and every score keeps its own bits.
+
+    The pools here are small, so each test but the floor's lowers the size floor to score them that way.
+    """
+
+    FLOOR = measures._DISTINCT_MIN_VALUES
+
+    @pytest.fixture(autouse=True)
+    def no_size_floor(self, monkeypatch):
+        monkeypatch.setattr(measures, "_DISTINCT_MIN_VALUES", 0)
+
+    def test_pools_at_the_size_floor_are_scored_row_by_row(self, monkeypatch):
+        monkeypatch.setattr(measures, "_DISTINCT_MIN_VALUES", self.FLOOR)
+        rng = np.random.default_rng(5)
+        leaves, ids = awkward_table(rng, 2, 30), rng.integers(0, 30, size=(20, 16))  # 32 values a point
+        at_floor = id_pool(leaves, ids[rng.integers(0, 20, size=self.FLOOR // 32)])
+        assert at_floor.members.size == self.FLOOR
+        assert row_by_row(at_floor)
+        above = id_pool(leaves, ids[rng.integers(0, 20, size=self.FLOOR // 32 + 1)])
+        assert measures._distinct_rows(above.leaf_ids, above.leaves)[0].size == 20
+        assert_scores_exact(above, "above the floor")
+
+    @pytest.mark.parametrize("m", [2, 8, 30])
+    def test_planted_duplicate_points(self, m):
+        data = make_blobs(10, 15, d=2, spread=0.7, centers_seed=m, noise_seed=1)
+        learner = fit(LearnerConfig(n_trees=m, depth_cap=4), data, seed=m)
+        rng = np.random.default_rng(m)
+        points = rng.normal(0.0, 2.0, size=(25, 2))
+        pool = predict_pool(learner, points[rng.integers(0, 25, size=80)])
+        first, inverse = measures._distinct_rows(pool.leaf_ids, pool.leaves)
+        assert first.size <= 25 and np.array_equal(pool.leaf_ids[first][inverse], pool.leaf_ids)
+        assert_scores_exact(pool, m)
+
+    @pytest.mark.parametrize("k", [2, 10, 257])
+    @pytest.mark.parametrize("m", [2, 9, 30])
+    def test_every_point_identical(self, k, m):
+        rng = np.random.default_rng(k * m)
+        pool = id_pool(awkward_table(rng, k, 12), np.tile(rng.integers(0, 12, size=m), (40, 1)))
+        first, _ = measures._distinct_rows(pool.leaf_ids, pool.leaves)
+        assert first.tolist() == [0]
+        assert_scores_exact(pool, (k, m))
+
+    @pytest.mark.parametrize("k", [2, 10, 257])
+    @pytest.mark.parametrize("m", [2, 9, 30])
+    @pytest.mark.parametrize("repeats", [0, 1])
+    def test_no_row_or_one_row_repeats(self, k, m, repeats):
+        rng = np.random.default_rng(k * m + 1)
+        ids = rng.permutation(np.unique(rng.integers(0, 30, size=(200, m)), axis=0))[: 40 - repeats]
+        pool = id_pool(awkward_table(rng, k, 30), np.concatenate([ids, ids[:repeats]]))
+        assert np.unique(pool.leaf_ids, axis=0).shape[0] == 40 - repeats and len(pool.leaves) < pool.leaf_ids.size
+        first, inverse = measures._distinct_rows(pool.leaf_ids, pool.leaves)
+        assert np.array_equal(np.sort(first), np.arange(40 - repeats))
+        assert np.array_equal(pool.leaf_ids[first][inverse], pool.leaf_ids)
+        assert_scores_exact(pool, (k, m, repeats))
+
+    def test_dust_pool_is_scored_row_by_row(self):
+        # the dust rebuild gives every member its own table row, so no id row repeats
+        data = make_blobs(3, 12, d=2, spread=0.4, centers_seed=1, noise_seed=2)
+        learner = fit(LearnerConfig(n_trees=8, depth_cap=5, alpha=5e-324), data, seed=3)
+        points = np.random.default_rng(4).normal(0.0, 2.0, size=(20, 2))
+        pool = predict_pool(learner, np.repeat(points, 3, axis=0))
+        assert pool.leaves is not learner.leaf and len(pool.leaves) == pool.leaf_ids.size
+        assert row_by_row(pool)
+        assert_scores_exact(pool, "dust")
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_forced_hash_collision_scores_every_row(self, k, monkeypatch):
+        # every row hashes to one key: the id check must catch it and score each row
+        rng = np.random.default_rng(k)
+        ids = rng.integers(0, 20, size=(15, 9))
+        pool = id_pool(awkward_table(rng, k, 20), ids[rng.integers(0, 15, size=50)])
+        assert measures._distinct_rows(pool.leaf_ids, pool.leaves)[0].size < 50
+        monkeypatch.setattr(measures, "_row_keys", lambda ids: np.zeros(len(ids), dtype=np.uint64))
+        assert row_by_row(pool)
+        assert_scores_exact(pool, k)
 
 
 class TestPoolBeliefs:

@@ -370,7 +370,12 @@ def literal_file(rng, path, renormalize):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-#: Lines that orjson refuses or reads otherwise than json.loads, or that json.loads decodes alone.
+#: A valid record of exactly the bracket guard's 4 096 characters, its id padded to length.
+_AT_GUARD = '{"id": "%s", "samples": [[0.25, 0.75]], "label": 2}'
+_AT_GUARD %= "x" * (4096 - len(_AT_GUARD % ""))
+
+#: Lines that orjson refuses or reads otherwise than json.loads, or that json.loads decodes alone, and the
+#: lengths either side of the bracket guard, which counts brackets only in lines longer than 4 096 characters.
 REFUSED_LINES = {
     "NaN": '{"id": "a", "samples": [[0.5, NaN, 0.5]]}',
     "Infinity": '{"id": "a", "samples": [[0.5, 0.5, 0.0], [Infinity, 0.5, 0.5]]}',
@@ -392,7 +397,10 @@ REFUSED_LINES = {
     "label 2^64 - 1": '{"id": "a", "samples": [[0.5, 0.5]], "label": 18446744073709551615}',
     "label past float range": '{"id": "a", "samples": [[0.5, 0.5]], "label": 1' + "0" * 400 + "}",
     "5 000 members": '{"id": "a", "samples": [' + ", ".join(["[0.25, 0.75]", "[1, 0]"] * 2500) + "]}",
+    "valid, 4 096 characters": _AT_GUARD,
+    "4 097 brackets in 4 097 characters": "[" * 4097,
 }
+assert len(_AT_GUARD) == 4096
 
 
 class TestParseOracle:
