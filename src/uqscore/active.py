@@ -16,13 +16,14 @@ a level per step (see :class:`EnsembleLearner`); its tree objects are views.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BadConfig, UqscoreError
-from .measures import Beliefs, ScoringRule, _build_beliefs, _check_labels, _check_simplex_rows, _component_scores
+from .measures import _PAIRWISE_MIN, Beliefs, ScoringRule, _check_labels, _check_simplex_rows, _component_scores
 from .measures import check_component, loss
 from .measures import SecondOrderSample, decompose  # noqa: F401 - unused, but bench/tracing.py wraps them here
 
@@ -100,9 +101,9 @@ class LearnerConfig:
             raise BadConfig("need at least two trees for nontrivial epistemic uncertainty")
         if self.depth_cap < 0:
             raise BadConfig("depth_cap must be >= 0")
-        if self.min_leaf < 1:
-            raise BadConfig("min_leaf must be >= 1")
-        if isinstance(self.alpha, bool) or not (0.0 <= self.alpha < np.inf):
+        if not 1 <= self.min_leaf < 2**63:  # fit compares it with float counts: an int past float range would raise
+            raise BadConfig(f"min_leaf must be >= 1 and below 2**63, got {self.min_leaf}")
+        if isinstance(self.alpha, bool) or not (0.0 <= self.alpha <= sys.float_info.max):
             raise BadConfig(f"alpha must be a finite number >= 0, got {self.alpha!r}")
 
 
@@ -155,7 +156,7 @@ class EnsembleLearner:
 
 def _class_sum(terms: np.ndarray) -> np.ndarray:
     """(K, P) ``terms`` summed over classes with the bits of ``(P, K).sum(axis=1)``: numpy adds fewer than 8 in turn."""
-    return terms.sum(axis=0) if terms.shape[0] < 8 else np.ascontiguousarray(terms.T).sum(axis=1)  # 8+: pairwise
+    return terms.sum(axis=0) if terms.shape[0] < _PAIRWISE_MIN else np.ascontiguousarray(terms.T).sum(axis=1)
 
 
 def fit(config: LearnerConfig, train: TabularDataset, seed) -> EnsembleLearner:
@@ -296,28 +297,42 @@ def _leaf_ids(learner: EnsembleLearner, x) -> np.ndarray:
     return node.reshape(n, m)
 
 
+def _leaf_means(leaf: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The (n, K) means of the leaf rows of (n, M) ``ids``, bit for bit ``np.take(leaf, ids, axis=0).mean(axis=1)``:
+    each tree's rows added in turn, then divided by M, is np.mean's own order, without its slow middle-axis sum."""
+    sums = np.take(leaf, ids[:, 0], axis=0)
+    for j in range(1, ids.shape[1]):
+        sums += np.take(leaf, ids[:, j], axis=0)
+    return sums / ids.shape[1]
+
+
 def predict_pool(learner: EnsembleLearner, x: np.ndarray) -> Beliefs:
     """Per-tree leaf distributions of every row of ``x``, their checked means and leaf ids, from one descent.
 
     Members, in tree order, are copies of leaf rows :func:`fit` checked, in [0, 1], so they are not checked or
-    clipped again.  If a mean entry is 0 and the table holds subnormal entries (a mean of normal ones is never 0),
-    the dust rule of the belief build may zero member entries: that pool is rebuilt, each member its own row.
+    clipped again; the means are summed tree by tree from the leaf table (:func:`_leaf_means`), with the bits of
+    each belief's own mean.  If a mean entry is 0 and the table holds subnormal entries (a mean of normal ones is
+    never 0), the dust rule of the belief build may zero member entries: that pool is rebuilt, each member its own row.
     """
     ids = _leaf_ids(learner, x)
-    members = np.take(learner.leaf, ids, axis=0)  # point-major: each mean adds as one sample's would
-    means = _build_beliefs(members, check_members=False)
+    means = _leaf_means(learner.leaf, ids)
+    _check_simplex_rows(means)
+    members = np.take(learner.leaf, ids, axis=0)
     dust = (means == 0.0).any() and ((learner.leaf > 0.0) & (learner.leaf < np.finfo(np.float64).tiny)).any()
     return Beliefs.of(members) if dust else Beliefs(members, means, ids, learner.leaf)
 
 
 def ensemble_zero_one_loss(learner: EnsembleLearner, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean zero-one loss of the averaged prediction, from the loss core; one label per row of ``x``, at least one."""
+    """Mean zero-one loss of the averaged prediction, from the loss core; one label per row of ``x``, at least one.
+
+    The average is summed tree by tree from the leaf table (:func:`_leaf_means`); no (n, M, K) members are built.
+    """
     ids = _leaf_ids(learner, x)
     if np.shape(labels) != ids.shape[:1]:
         raise UqscoreError(f"labels of shape {np.shape(labels)} for {ids.shape[0]} inputs")
     if ids.shape[0] == 0:
         raise UqscoreError("no inputs to take the zero-one loss over")
-    return float(np.mean(loss(ScoringRule.ZERO_ONE, np.take(learner.leaf, ids, axis=0).mean(axis=1), labels)))
+    return float(np.mean(loss(ScoringRule.ZERO_ONE, _leaf_means(learner.leaf, ids), labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +363,8 @@ def make_blobs(
         raise BadConfig("need at least one point per class")
     if d < 1:
         raise BadConfig("need at least one feature")
-    if spread < 0:
-        raise BadConfig("spread must be >= 0")
+    if not 0 <= spread <= sys.float_info.max:  # an int past float range would raise in the product below
+        raise BadConfig(f"spread must be a finite number >= 0, got {spread!r}")
     if centers is None:
         centers = np.random.default_rng(centers_seed).normal(size=(k, d))
     else:

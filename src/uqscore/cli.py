@@ -217,7 +217,7 @@ def _build_active_problem(dataset: dict, seed: int):
         n_test = data.n // 4 if n_test is None else operator.index(n_test)
     except BadConfig:
         raise
-    except (TypeError, ValueError, MemoryError) as exc:  # wrong key, type, seed or size
+    except (TypeError, ValueError, MemoryError, OverflowError) as exc:  # wrong key, type, seed, size or range
         raise BadConfig(f"bad dataset section: {exc}") from exc
     for key, size in (("n_initial", n_initial), ("n_test", n_test)):
         if size < 0:

@@ -92,17 +92,14 @@ def _check_simplex_rows(rows: np.ndarray) -> None:
         raise SimplexError(f"entries sum to {float(sums[bad][0])!r}, not 1")
 
 
-def _build_beliefs(members: np.ndarray, check_members: bool = True) -> np.ndarray:
+def _build_beliefs(members: np.ndarray) -> np.ndarray:
     """Check, clip, average and freeze (..., M, K) member rows in place; returns their checked (..., K) means.
 
-    The body of :meth:`Beliefs.of`, and of the active-learning pool's build.
-    ``check_members=False`` takes rows known to lie on the simplex in [0, 1], as the pool's copies
-    of the leaf rows ``fit`` checked do, and neither checks nor clips them.
+    The body of :meth:`Beliefs.of`.
     """
     k = members.shape[-1]
-    if check_members:
-        _check_simplex_rows(members.reshape(math.prod(members.shape[:-1]), k))
-        np.clip(members, 0.0, 1.0, out=members)  # float-noise entries within tolerance
+    _check_simplex_rows(members.reshape(math.prod(members.shape[:-1]), k))
+    np.clip(members, 0.0, 1.0, out=members)  # float-noise entries within tolerance
     means = members.mean(axis=-2)
     # Subnormal member entries can average to exactly zero; drop such
     # dust so a zero mean entry always implies all-zero member entries
@@ -315,10 +312,11 @@ def _check_triples(total, aleatoric, epistemic) -> None:
 # ---------------------------------------------------------------------------
 # Closed-form kernels.
 #
-# Each kernel reduces over the last (class) axis of arrays of any leading
-# shape; ``_decompose_arrays``, ``entropy`` and ``divergence`` all dispatch
-# through these dictionaries, so a single corrupted entry is caught by the
-# verification suites.
+# Each kernel reduces over the class axis of arrays of any shape: the last,
+# or the divergences' ``axis``, which ``_decompose_arrays`` sets to 0 for
+# members it reads class-major; ``_decompose_arrays``, ``entropy`` and
+# ``divergence`` all dispatch through these dictionaries, so a single
+# corrupted entry is caught by the verification suites.
 #
 # The log forms import scipy.special where they run, not at module level: the
 # import takes about a quarter of a second, which a process that never scores
@@ -345,26 +343,26 @@ def _entropy_spherical(t: np.ndarray) -> np.ndarray:
     return 1.0 - np.linalg.norm(t, axis=-1)
 
 
-def _divergence_log(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _divergence_log(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarray:
     # rel_entr(t, p) = t * log(t / p), with 0 * log(0 / p) = 0 and +inf when
     # t > 0 = p: exactly the extended-real KL convention used throughout.
     from scipy.special import rel_entr
 
-    return rel_entr(t, p).sum(axis=-1)
+    return rel_entr(t, p).sum(axis=axis)
 
 
-def _divergence_brier(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _divergence_brier(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarray:
     diff = p - t
-    return np.square(diff, out=diff).sum(axis=-1)  # in place: one pool-sized temporary, not two
+    return np.square(diff, out=diff).sum(axis=axis)  # in place: one pool-sized temporary, not two
 
 
-def _divergence_zero_one(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    at_argmax = np.take_along_axis(t, np.argmax(p, axis=-1)[..., None], axis=-1)[..., 0]  # t at p's argmax
-    return t.max(axis=-1) - at_argmax
+def _divergence_zero_one(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarray:
+    at_argmax = np.take_along_axis(t, np.argmax(p, axis=axis, keepdims=True), axis=axis)  # t at p's argmax
+    return t.max(axis=axis) - at_argmax.squeeze(axis)
 
 
-def _divergence_spherical(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(t, axis=-1) - (p * t).sum(axis=-1) / np.linalg.norm(p, axis=-1)
+def _divergence_spherical(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarray:
+    return np.linalg.norm(t, axis=axis) - (p * t).sum(axis=axis) / np.linalg.norm(p, axis=axis)
 
 
 _ENTROPY_KERNELS = {
@@ -503,6 +501,10 @@ def divergence(rule: ScoringRule, prediction, truth) -> np.ndarray:
     return _DIVERGENCE_KERNELS[rule](*_checked_pair(prediction, truth))
 
 
+#: Fewest values numpy sums pairwise along an axis: it adds fewer one by one, so for K below this a class-major
+#: (K, ...) sum over axis 0 has the bits of the point-major (..., K) sum over the last axis, and for K at or above not.
+_PAIRWISE_MIN = 8
+
 #: Fewest member values of a pool for which finding its distinct id rows saves time: timed in process, the crossover
 #: lies between 6 000 and 96 000 by rule and learner; benchmark pools hold 3 150 (small ``active``) and 348 000.
 _DISTINCT_MIN_VALUES = 1 << 15
@@ -532,6 +534,8 @@ def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
     The one place the kernel tables are combined; callers run :func:`_check_triples`.  A member's own terms
     are taken once per row of the leaf table and gathered by its id; the divergences that mix it with the mean,
     once per distinct id row of a large pool (:func:`_distinct_rows`): equal id rows hold equal members and means.
+    For K < :data:`_PAIRWISE_MIN` those divergences read the members class-major, (K, n, M) gathered from the
+    table's columns, and sum the K class planes over axis 0, which numpy adds fast and in the point-major order.
     """
     members, means, leaves, ids, m = beliefs.members, beliefs.means, beliefs.leaves, beliefs.leaf_ids, beliefs.m
     total = _ENTROPY_KERNELS[rule](means)
@@ -545,7 +549,11 @@ def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
         epistemic = (np.take(leaves.max(axis=-1), ids) - at_argmax).sum(axis=-1) / m
     else:  # the other divergences mix the mean with the member, so they stay per pair, once per distinct belief
         first, inverse = _distinct_rows(ids, leaves)
-        epistemic = (_DIVERGENCE_KERNELS[rule](means[first][..., None, :], members[first]).sum(axis=-1) / m)[inverse]
+        if beliefs.k < _PAIRWISE_MIN:
+            terms = _DIVERGENCE_KERNELS[rule](means[first].T[..., None], np.take(leaves.T, ids[first], axis=1), 0)
+        else:  # 8+ classes sum pairwise along the last axis, which no class-major sum reproduces
+            terms = _DIVERGENCE_KERNELS[rule](means[first][..., None, :], members[first])
+        epistemic = (terms.sum(axis=-1) / m)[inverse]
     return total, aleatoric, epistemic
 
 

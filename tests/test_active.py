@@ -8,6 +8,7 @@ from uqscore.active import (
     TabularDataset,
     _class_sum,
     _leaf_ids,
+    _leaf_means,
     acquire,
     ensemble_zero_one_loss,
     fit,
@@ -18,7 +19,7 @@ from uqscore.active import (
 )
 from uqscore.benchmarks import GAP_LEARNER
 from uqscore.errors import BadConfig, LabelOutOfRange, UqscoreError
-from uqscore.measures import COMPONENTS, Beliefs, ScoringRule, SecondOrderSample, _build_beliefs, decompose
+from uqscore.measures import COMPONENTS, Beliefs, ScoringRule, SecondOrderSample, _build_beliefs, decompose, loss
 from uqscore.verify import random_belief
 
 from conftest import RULES
@@ -503,6 +504,50 @@ class TestClassMajorGini:
         cr[np.arange(p), rng.integers(0, k, size=p)] += 1.0
         want = split_costs(cl, cl + cr, "row-major")
         assert split_costs(cl, cl + cr, "class-major").tobytes() == want.tobytes(), k
+
+
+def point_major_means(leaf, ids):
+    """The point-major mean that tree-by-tree sums replaced, kept as their oracle: the (n, M, K) gather's mean."""
+    return np.take(leaf, ids, axis=0).mean(axis=1)
+
+
+class TestLeafMeans:
+    """``_leaf_means`` adds the trees' leaf rows in turn, np.mean's own order over a point-major gather.
+
+    A mean summed over a contiguous member axis adds pairwise from M = 8 on, so M runs on both sides of 8.
+    """
+
+    @pytest.mark.parametrize("k", [2, 4, 7, 8, 12, 50])
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 30, 100])
+    def test_equals_the_point_major_mean(self, k, m):
+        rng = np.random.default_rng(k * 1000 + m)
+        leaf = rng.dirichlet(np.full(k, 0.5), size=300)
+        for n in (0, 1, 3000):
+            ids = rng.integers(0, 300, size=(n, m))
+            got = _leaf_means(leaf, ids)
+            assert got.shape == (n, k) and got.tobytes() == point_major_means(leaf, ids).tobytes(), (n, k, m)
+
+    @pytest.mark.parametrize("m", [2, 9, 30])
+    def test_zeros_and_subnormals(self, m):
+        # exact zeros, and subnormal entries whose mean rounds to 0 or to another subnormal
+        rng = np.random.default_rng(m)
+        leaf = rng.dirichlet(np.ones(5), size=40)
+        leaf[::2, 0] = 0.0
+        leaf[1::4, 1] = 5e-324
+        leaf[3::4, 2] = rng.integers(1, 2**20, size=10) * 5e-324
+        ids = rng.integers(0, 40, size=(500, m))
+        assert _leaf_means(leaf, ids).tobytes() == point_major_means(leaf, ids).tobytes()
+
+    @pytest.mark.parametrize("k, m", [(3, 9), (4, 30)])
+    def test_pool_means_and_zero_one_loss(self, k, m):
+        data = make_blobs(k, 40, d=2, spread=0.7, centers_seed=k, noise_seed=m)
+        learner = fit(LearnerConfig(n_trees=m, depth_cap=5), data, seed=m)
+        x = np.random.default_rng(k).normal(0.0, 2.0, size=(400, 2))
+        ids = _leaf_ids(learner, x)
+        assert predict_pool(learner, x).means.tobytes() == point_major_means(learner.leaf, ids).tobytes()
+        labels = np.random.default_rng(m).integers(1, k + 1, size=400)
+        want = float(np.mean(loss(ZERO_ONE, point_major_means(learner.leaf, ids), labels)))
+        assert ensemble_zero_one_loss(learner, x, labels) == want
 
 
 def pool_of(*beliefs):

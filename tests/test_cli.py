@@ -264,6 +264,8 @@ BAD_CONFIGS = [
     ("active", {"dataset": {"kind": "epistemic_gap", "n_labeled_region": 4, "n_gap_region": 2**63}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": 1e308}}),
     ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": [[1e308, 0], [-1e308, 0]]}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "spread": 10**400}}),
+    ("active", {"dataset": {"kind": "blobs", "k": 2, "n_per_class": 20, "centers": [[10**400, 0], [0, 1]]}}),
     ("active", {"learner": [5]}),
     ("active", {"learner": {"n_trees": 2.5}}),
     ("active", {"learner": {"n_trees": 1}}),
@@ -271,6 +273,8 @@ BAD_CONFIGS = [
     ("active", {"learner": {"n_trees": 10**16}}),
     ("active", {"learner": {"alpha": True}}),
     ("active", {"learner": {"alpha": float("inf")}}),
+    ("active", {"learner": {"min_leaf": 10**400}}),
+    ("active", {"learner": {"alpha": 10**400}}),
     ("active", {"strategies": "random"}),
     ("active", {"strategies": [5]}),
     ("active", {"strategies": ["log:bogus"]}),
@@ -335,6 +339,26 @@ class TestBadConfigValues:
         config.write_text(json.dumps(dict(ACTIVE_CONFIG, dataset={"kind": kind, **sizes, "verbose": True})))
         assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
         assert "unexpected keyword argument 'verbose'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("learner", "min_leaf", 10**400),
+            ("learner", "alpha", 10**400),
+            ("dataset", "spread", 10**400),
+        ],
+        ids=["min_leaf", "alpha", "spread"],
+    )
+    def test_integer_past_float_range_is_named(self, tmp_path, capsys, section, key, value):
+        # JSON integers have no range, and each of these would meet a float: an int past its range raises there
+        blobs = {"kind": "blobs", "k": 2, "n_per_class": 20}
+        body = dict(ACTIVE_CONFIG, dataset=blobs)
+        body[section] = dict(body[section], **{key: value})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        assert main(["active", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["n_initial", "n_test"])
     def test_negative_blobs_size_is_named(self, tmp_path, capsys, key):

@@ -174,7 +174,7 @@ DATASETS = st.one_of(
         {"kind": st.just("blobs"), "k": SIZES, "n_per_class": SIZES},
         optional={
             "d": SIZES,
-            "spread": st.sampled_from([0.0, 0.3, -1.0, math.nan, math.inf, "x"]),
+            "spread": st.sampled_from([0.0, 0.3, -1.0, math.nan, math.inf, 10**400, "x"]),
             "n_initial": SIZES,
             "n_test": SIZES,
             "centers_seed": SIZES,
@@ -191,8 +191,8 @@ LEARNERS = st.fixed_dictionaries(
     optional={
         "n_trees": st.sampled_from([-1, 0, 1, 2, 3, 1.5, "2", True]),
         "depth_cap": st.sampled_from([-1, 0, 1, 3, 2.0, None]),
-        "min_leaf": st.sampled_from([0, 1, 2, 100, "1"]),
-        "alpha": st.sampled_from([0.0, 1.0, -1.0, 1e308, math.nan, math.inf, "1"]),
+        "min_leaf": st.sampled_from([0, 1, 2, 100, 10**400, "1"]),
+        "alpha": st.sampled_from([0.0, 1.0, -1.0, 1e308, 10**400, math.nan, math.inf, "1"]),
         "bogus": st.just(1),
     },
 )
@@ -204,7 +204,7 @@ STRATEGIES = st.lists(
 )
 FILE_NAMES = st.sampled_from(["a.jsonl", "b.jsonl", "missing.jsonl", ".", ""])
 ANY_VALUE = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(), st.text(max_size=5),
+    st.none(), st.booleans(), st.integers(-3, 2**1100), st.floats(),  # ints past float range too st.text(max_size=5),
     st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
 )
 #: Each config key with values of its type, or of any type.

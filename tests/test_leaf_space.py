@@ -140,7 +140,7 @@ class TestLeafSpaceScores:
         leaves = np.concatenate([table, mirrored])
         ids = np.column_stack([np.arange(20), np.arange(20, 40)])
         members = np.take(leaves, ids, axis=0)
-        pool = Beliefs(members, measures._build_beliefs(members, check_members=False), ids, leaves)
+        pool = Beliefs(members, members.mean(axis=-2), ids, leaves)
         assert (pool.means[:, 0] == pool.means[:, 1]).all() and (pool.means.argmax(axis=1) == 0).all()
         assert_scores_exact(pool, k)
 
@@ -159,7 +159,7 @@ class TestLeafSpaceScores:
 def id_pool(leaves, ids):
     """A pool whose member j of point i is row ``ids[i, j]`` of ``leaves``, as ``predict_pool`` builds it."""
     members = np.take(leaves, ids, axis=0)
-    return Beliefs(members, measures._build_beliefs(members, check_members=False), ids, leaves)
+    return Beliefs(members, members.mean(axis=-2), ids, leaves)
 
 
 def row_by_row(pool):

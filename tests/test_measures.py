@@ -526,6 +526,48 @@ class TestDecomposeArrays:
         _check_triples(*np.array(fine).T)
 
 
+def point_major_epistemic(rule, members):
+    """The point-major epistemic body, kept as the oracle of class-major sums: class terms summed on the last axis."""
+    means = members.mean(axis=-2)
+    return measures._DIVERGENCE_KERNELS[rule](means[..., None, :], members).sum(axis=-1) / members.shape[-2]
+
+
+def awkward_members(rng, n, m, k):
+    """(n, M, K) Dirichlet members with exact zeros in a shared column and in single members, and tiny entries."""
+    members = rng.dirichlet(np.full(k, 0.5), size=(n, m))
+    members[::3, :, 0] = 0.0
+    members[1::3, ::2, 1] = 0.0
+    members[2::3, 0, -1] = 1e-300
+    return members / members.sum(axis=-1, keepdims=True)
+
+
+class TestClassMajorDivergence:
+    """Below ``_PAIRWISE_MIN`` classes, ``_decompose_arrays`` sums each divergence's class terms class-major."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("k", range(2, measures._PAIRWISE_MIN))
+    def test_kernel_axis_zero_equals_the_last_axis(self, rule, k):
+        rng = np.random.default_rng(k)
+        kernel = measures._DIVERGENCE_KERNELS[rule]
+        for n, m in [(1, 2), (1, 30), (300, 9)]:
+            members = Beliefs.of(awkward_members(rng, n, m, k))
+            means, t = members.means, members.members
+            want = kernel(means[:, None, :], t)
+            got = kernel(means.T[..., None], np.ascontiguousarray(t.transpose(2, 0, 1)), 0)
+            assert got.tobytes() == want.tobytes(), (n, m)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("m", [2, 7, 8, 30])
+    def test_epistemic_equals_the_point_major_sums(self, k, m):
+        # both sides of the 8: class-major below, point-major from 8 on; one belief, and a batch
+        rng = np.random.default_rng(k * 100 + m)
+        for n in (1, 300):
+            beliefs = Beliefs.of(awkward_members(rng, n, m, k))
+            for rule in (LOG, BRIER, SPHERICAL):
+                want = point_major_epistemic(rule, beliefs.members)
+                assert _decompose_arrays(rule, beliefs)[2].tobytes() == want.tobytes(), (n, rule)
+
+
 def mixed_samples(rng):
     """Beliefs of many (M, K) shapes in shuffled order: M = 1, mixed M under one K, and K = 1000 over several chunks."""
     shapes = [(1, 3)] * 5 + [(m, 4) for m in range(1, 10)] * 2 + [(10, 1000)] * 7 + [(1, 1000)] * 2 + [(10, 10)] * 400

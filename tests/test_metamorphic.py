@@ -4,6 +4,9 @@
   1 (every record alone), 7, the default 2**15 and 2**20 (every shape in one chunk) ``decompose --rule all``,
   ``selective`` under each rule and ``ood`` write the same bytes.
 * Permuting a file's records permutes the records' lines of ``decompose.jsonl`` the same way.
+* Planting copies of points in an active-learning pool gives each copy its original's scores, bit for bit, on
+  both sides of the distinct-belief floor (``measures._DISTINCT_MIN_VALUES``) and of the class count below which
+  divergences sum class-major (``measures._PAIRWISE_MIN``).
 
 The files mix member counts, and the decompose file mixes class counts too, so records of several shapes
 interleave and share chunks.
@@ -13,8 +16,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import uqscore.measures as measures
+from uqscore.active import LearnerConfig, fit, make_blobs, predict_pool
 from uqscore.cli import main
 from uqscore.verify import random_belief
 
@@ -79,3 +85,32 @@ def test_permuting_records_permutes_the_decompose_lines(files, tmp_path):
         per_record.append([written[i : i + len(RULES)] for i in range(0, len(written), len(RULES))])
     original, permuted = per_record
     assert len(original) == len(lines) and permuted == [original[i] for i in perm]
+
+
+@pytest.fixture(scope="module")
+def learners():
+    """Ten-tree ensembles with K = 4 classes, summed class-major, and K = 10, summed point-major."""
+    return {
+        k: fit(LearnerConfig(n_trees=10, depth_cap=4), make_blobs(k, 30, spread=0.7, centers_seed=k), seed=k)
+        for k in (4, measures._PAIRWISE_MIN + 2)
+    }
+
+
+@pytest.mark.parametrize("k", [4, measures._PAIRWISE_MIN + 2])
+@pytest.mark.parametrize("large", [False, True], ids=["row by row", "distinct rows"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 40))
+def test_duplicate_pool_points_score_as_their_originals(learners, k, large, seed, copies):
+    learner = learners[k]
+    per_point = learner.n_trees * k  # member values a point adds to the pool
+    n = measures._DISTINCT_MIN_VALUES // per_point + 1 if large else 30
+    rng = np.random.default_rng(seed)
+    points = rng.normal(0.0, 2.0, size=(n, 2))
+    source = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, size=copies)]))
+    pool, planted = predict_pool(learner, points), predict_pool(learner, points[source])
+    distinct = measures._distinct_rows(planted.leaf_ids, planted.leaves)[0]
+    assert isinstance(distinct, slice) != large  # the side of the floor the planted pool is on
+    for rule in measures.ScoringRule:
+        want = np.array(measures.decompose(rule, pool))[:, source]
+        assert np.array(measures.decompose(rule, planted)).tobytes() == want.tobytes(), rule
