@@ -313,10 +313,11 @@ def _check_triples(total, aleatoric, epistemic) -> None:
 # Closed-form kernels.
 #
 # Each kernel reduces over the class axis of arrays of any shape: the last,
-# or the divergences' ``axis``, which ``_decompose_arrays`` sets to 0 for
-# members it reads class-major; ``_decompose_arrays``, ``entropy`` and
-# ``divergence`` all dispatch through these dictionaries, so a single
-# corrupted entry is caught by the verification suites.
+# or the log, Brier and spherical divergences' ``axis``, which
+# ``_decompose_arrays`` sets to 0 for pool members it reads class-major;
+# ``_decompose_arrays``, ``entropy`` and ``divergence`` all dispatch through
+# these dictionaries, so a single corrupted entry is caught by the
+# verification suites.
 #
 # The log forms import scipy.special where they run, not at module level: the
 # import takes about a quarter of a second, which a process that never scores
@@ -356,9 +357,9 @@ def _divergence_brier(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarra
     return np.square(diff, out=diff).sum(axis=axis)  # in place: one pool-sized temporary, not two
 
 
-def _divergence_zero_one(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarray:
-    at_argmax = np.take_along_axis(t, np.argmax(p, axis=axis, keepdims=True), axis=axis)  # t at p's argmax
-    return t.max(axis=axis) - at_argmax.squeeze(axis)
+def _divergence_zero_one(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    at_argmax = np.take_along_axis(t, np.argmax(p, axis=-1)[..., None], axis=-1)[..., 0]  # t at p's argmax
+    return t.max(axis=-1) - at_argmax
 
 
 def _divergence_spherical(p: np.ndarray, t: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -534,8 +535,9 @@ def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
     The one place the kernel tables are combined; callers run :func:`_check_triples`.  A member's own terms
     are taken once per row of the leaf table and gathered by its id; the divergences that mix it with the mean,
     once per distinct id row of a large pool (:func:`_distinct_rows`): equal id rows hold equal members and means.
-    For K < :data:`_PAIRWISE_MIN` those divergences read the members class-major, (K, n, M) gathered from the
-    table's columns, and sum the K class planes over axis 0, which numpy adds fast and in the point-major order.
+    For a pool with K < :data:`_PAIRWISE_MIN` those divergences read the members class-major, (K, n, M) gathered
+    from the table's columns, and sum the K class planes over axis 0, fast and in the point-major order; beliefs
+    that are their own table (file chunks) stay point-major, as that gather would copy each of their members twice.
     """
     members, means, leaves, ids, m = beliefs.members, beliefs.means, beliefs.leaves, beliefs.leaf_ids, beliefs.m
     total = _ENTROPY_KERNELS[rule](means)
@@ -549,9 +551,9 @@ def _decompose_arrays(rule: ScoringRule, beliefs: Beliefs):
         epistemic = (np.take(leaves.max(axis=-1), ids) - at_argmax).sum(axis=-1) / m
     else:  # the other divergences mix the mean with the member, so they stay per pair, once per distinct belief
         first, inverse = _distinct_rows(ids, leaves)
-        if beliefs.k < _PAIRWISE_MIN:
+        if beliefs.k < _PAIRWISE_MIN and len(leaves) < ids.size:  # a pool, whose table is small next to its members
             terms = _DIVERGENCE_KERNELS[rule](means[first].T[..., None], np.take(leaves.T, ids[first], axis=1), 0)
-        else:  # 8+ classes sum pairwise along the last axis, which no class-major sum reproduces
+        else:  # 8+ classes sum pairwise along the last axis, which no class-major sum reproduces; own rows: no gather
             terms = _DIVERGENCE_KERNELS[rule](means[first][..., None, :], members[first])
         epistemic = (terms.sum(axis=-1) / m)[inverse]
     return total, aleatoric, epistemic

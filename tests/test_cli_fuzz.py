@@ -204,7 +204,7 @@ STRATEGIES = st.lists(
 )
 FILE_NAMES = st.sampled_from(["a.jsonl", "b.jsonl", "missing.jsonl", ".", ""])
 ANY_VALUE = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 2**1100), st.floats(),  # ints past float range too st.text(max_size=5),
+    st.none(), st.booleans(), st.integers(-3, 2**1100), st.floats(), st.text(max_size=5),  # ints past float range too
     st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
 )
 #: Each config key with values of its type, or of any type.
